@@ -56,12 +56,11 @@ fuzz:
 bench-parallel:
 	$(GO) run ./cmd/knnbench -parallel 1,2,4,8 -scale 0.05
 
-# The quantized coarse-filter comparison: Fig 13 once per tier (exact
-# packed baseline, float32, int8) on the same workload.
+# The quantized coarse-filter comparison: Fig 13 once per mode (exact
+# packed baseline, float32 tier) on the same workload.
 bench-quant:
 	$(GO) run ./cmd/knnbench -fig 13 -scale 0.05 -quant none
 	$(GO) run ./cmd/knnbench -fig 13 -scale 0.05 -quant f32
-	$(GO) run ./cmd/knnbench -fig 13 -scale 0.05 -quant i8
 
 # Regenerate the paper's figures at a moderate scale.
 experiments:

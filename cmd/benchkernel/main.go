@@ -24,19 +24,19 @@
 //
 // Usage:
 //
-//	benchkernel [-o BENCH_knn.json] [-quant none|f32|i8]
+//	benchkernel [-o BENCH_knn.json] [-quant none|f32]
 //	benchkernel -gate BENCH_knn.json -min-speedup 1.3 \
 //	            -min-packed-speedup 1.15 -min-quant-speedup 1.4 \
 //	            -min-sphere-speedup 1.5 -min-snapshot-speedup 20 \
 //	            -min-scaling 2.5                             # CI sanity gate
 //	benchkernel -trace trace.json                           # export query traces
 //
-// The packed search is benchmarked four ways: pointer path, frozen
-// snapshot with quantization off (isolating the SoA layout, the
-// speedup_packed_layout gate), and the frozen snapshot through the float32
-// and int8 coarse-filter tiers (ISSUE 6). The speedup_quantized block
-// records each tier's gain over the pointer path; its best geomean is what
-// -min-quant-speedup gates. -quant picks the tier the counter-enabled
+// The packed search is benchmarked three ways: pointer path (the generic
+// IndexNode traversal), frozen snapshot with quantization off (isolating
+// the SoA layout, the speedup_packed_layout gate), and the frozen snapshot
+// through the float32 coarse-filter tier (ISSUE 6). The speedup_quantized
+// block records that tier's gain over the pointer path; its geomean is
+// what -min-quant-speedup gates. -quant picks the mode the counter-enabled
 // metrics pass runs under (default f32), which is where the
 // coarse_prune_rate figure comes from.
 //
@@ -97,25 +97,20 @@ type metricsBlock struct {
 	PreparedReuseRate  float64           `json:"prepared_reuse_rate"`
 	SearchLatencyP50Ns float64           `json:"search_latency_p50_ns"`
 	SearchLatencyP99Ns float64           `json:"search_latency_p99_ns"`
-	// CoarsePruneRate is the fraction of packed candidates (child entries
-	// plus leaf items) the quantized pass settled without touching the
-	// exact float64 block, under the -quant tier of the metrics pass.
+	// CoarsePruneRate is the fraction of packed leaf items the quantized
+	// pass settled without touching the exact float64 block, under the
+	// -quant mode of the metrics pass.
 	CoarsePruneRate float64 `json:"coarse_prune_rate"`
 }
 
-// quantBlock is the quantized coarse-filter speedup table (ISSUE 6): each
-// tier's traversal time against the pointer path on the same frozen
-// fixture. Best is the larger tier geomean — the number the
-// -min-quant-speedup gate reads.
+// quantBlock is the quantized coarse-filter speedup table (ISSUE 6): the
+// float32 tier's traversal time against the pointer path on the same
+// frozen fixture. GeomeanF32 is the number the -min-quant-speedup gate
+// reads.
 type quantBlock struct {
 	DFf32      float64 `json:"df_f32"`
 	HSf32      float64 `json:"hs_f32"`
-	DFi8       float64 `json:"df_i8"`
-	HSi8       float64 `json:"hs_i8"`
 	GeomeanF32 float64 `json:"geomean_f32"`
-	GeomeanI8  float64 `json:"geomean_i8"`
-	Best       float64 `json:"best"`
-	BestTier   string  `json:"best_tier"`
 }
 
 // snapshotLoadBlock is the zero-copy persistence headline (ISSUE 10): the
@@ -198,7 +193,7 @@ type report struct {
 	SpeedupPackedDF   float64           `json:"speedup_packed_layout_df"`
 	SpeedupPackedHS   float64           `json:"speedup_packed_layout_hs"`
 	SpeedupPacked     float64           `json:"speedup_packed_layout"` // geometric mean of DF and HS
-	SpeedupQuantized  quantBlock        `json:"speedup_quantized"`     // quantized tiers vs pointer path
+	SpeedupQuantized  quantBlock        `json:"speedup_quantized"`     // f32 tier vs pointer path
 	BuildInsertNs     float64           `json:"build_insert_ns_per_item"`
 	BuildBulkNs       float64           `json:"build_bulkload_ns_per_item"`
 	BuildBulkSpeedup  float64           `json:"build_bulkload_speedup"`
@@ -233,13 +228,13 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.Gate, "gate", "", "committed BENCH_knn.json to gate against (CI mode; exits non-zero on regression)")
 	fs.Float64Var(&cfg.MinSpeedup, "min-speedup", 1.3, "minimum prepared point-query speedup the gate accepts")
 	fs.Float64Var(&cfg.MinPackedSpeedup, "min-packed-speedup", 1.15, "minimum packed-layout (quantization off) search speedup the gate accepts")
-	fs.Float64Var(&cfg.MinQuantSpeedup, "min-quant-speedup", 1.4, "minimum quantized-tier search speedup over the pointer path the gate accepts (best tier geomean)")
+	fs.Float64Var(&cfg.MinQuantSpeedup, "min-quant-speedup", 1.4, "minimum f32-tier search speedup over the pointer path the gate accepts (DF/HS geomean)")
 	fs.Float64Var(&cfg.MinSphereSpeedup, "min-sphere-speedup", 1.5, "minimum prepared sphere-query speedup the gate accepts")
 	fs.Float64Var(&cfg.MinSnapSpeedup, "min-snapshot-speedup", 20, "minimum snapshot open-vs-rebuild speedup the gate accepts (<= 0 skips)")
 	fs.Float64Var(&cfg.MinScaling, "min-scaling", 2.5, "minimum 8-worker throughput scaling the gate accepts on an 8-core runner (floor adapts down to min(value, 0.45*GOMAXPROCS), never below 0.8; <= 0 skips the scaling gate entirely)")
 	fs.BoolVar(&cfg.ScalingOnly, "scaling-only", false, "measure (and gate) only the throughput_scaling and shard_scaling blocks — the dedicated multi-core CI job's mode")
 	fs.IntVar(&cfg.RequireCores, "require-cores", 0, "gate mode: fail unless the measurement ran with at least this many schedulable cores (guards the scaling gate against silently passing on undersized runners)")
-	quant := fs.String("quant", "f32", "quantized tier the counter-enabled metrics pass runs under (none, f32, i8)")
+	quant := fs.String("quant", "f32", "coarse-filter mode the counter-enabled metrics pass runs under (none, f32)")
 	cfg.Profile = obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -281,9 +276,9 @@ func main() {
 			maxShards(rep.ShardScaling), rep.Throughput.GoMaxProcs,
 			rep.Throughput.CoresDetected, rep.Throughput.Gated)
 	} else {
-		fmt.Printf("wrote %s (prepared point-query speedup %.2fx, sphere-query %.2fx; packed-layout speedup DF=%.2fx HS=%.2fx; quantized f32=%.2fx i8=%.2fx best=%s; coarse-prune rate %.2f; snapshot open %.2fx over rebuild (%.1f vs %.1f ns/item, mapped=%v); 8-worker scaling %.2fx on %d core(s); shard scaling %.2fx; knn allocs/search DF=%d HS=%d; prune rate %.2f; search p50=%.0fns p99=%.0fns)\n",
+		fmt.Printf("wrote %s (prepared point-query speedup %.2fx, sphere-query %.2fx; packed-layout speedup DF=%.2fx HS=%.2fx; quantized f32=%.2fx; coarse-prune rate %.2f; snapshot open %.2fx over rebuild (%.1f vs %.1f ns/item, mapped=%v); 8-worker scaling %.2fx on %d core(s); shard scaling %.2fx; knn allocs/search DF=%d HS=%d; prune rate %.2f; search p50=%.0fns p99=%.0fns)\n",
 			cfg.Out, rep.SpeedupPointQ, rep.SpeedupSphereQ, rep.SpeedupPackedDF, rep.SpeedupPackedHS,
-			rep.SpeedupQuantized.GeomeanF32, rep.SpeedupQuantized.GeomeanI8, rep.SpeedupQuantized.BestTier,
+			rep.SpeedupQuantized.GeomeanF32,
 			rep.Metrics.CoarsePruneRate,
 			rep.SnapshotLoad.Speedup, rep.SnapshotLoad.OpenNsPerItem, rep.SnapshotLoad.RebuildNsPerItem, rep.SnapshotLoad.Mapped,
 			rep.Throughput.ScalingAtMax, rep.Throughput.GoMaxProcs, rep.ShardScaling.ScalingAtMax,
@@ -365,7 +360,7 @@ func buildReport(cfg *config) report {
 	tree, idx, items, queries := knnFixture(rep.KnnTreeItems, 8)
 	// Pass 0 walks the pointer tree; the rest walk the packed snapshot with
 	// quantization off (isolating the SoA layout, pass 1) and through the
-	// two coarse-filter tiers (passes 2-3) — same fixture, same queries, so
+	// f32 coarse-filter tier (pass 2) — same fixture, same queries, so
 	// every ratio isolates one mechanism. The packed passes run against a
 	// deterministic twin of the tree (same seed, same insert order,
 	// identical structure) that is frozen up front: with two trees the
@@ -382,13 +377,12 @@ func buildReport(cfg *config) report {
 		{"Search/SS10k", knn.QuantNone},
 		{"SearchPacked/SS10k", knn.QuantNone},
 		{"SearchQuantF32/SS10k", knn.QuantF32},
-		{"SearchQuantI8/SS10k", knn.QuantI8},
 	}
 	// Each cell keeps its fastest of five rounds: the passes share one
 	// noisy core, and a single back-to-back sweep folds scheduler jitter
 	// straight into the speedup ratios, so every round interleaves all
-	// eight cells and the minimum filters out the slow stretches.
-	var rows [4][2]kernelBench
+	// six cells and the minimum filters out the slow stretches.
+	var rows [3][2]kernelBench
 	prevMode := knn.QuantModeNow()
 	searchCell := func(pass int, algo knn.Algorithm) func(*testing.B) {
 		target := idx
@@ -435,20 +429,14 @@ func buildReport(cfg *config) report {
 
 	q := &rep.SpeedupQuantized
 	q.DFf32, q.HSf32 = ratio(ptr[0], rows[2][0]), ratio(ptr[1], rows[2][1])
-	q.DFi8, q.HSi8 = ratio(ptr[0], rows[3][0]), ratio(ptr[1], rows[3][1])
 	q.GeomeanF32 = math.Sqrt(q.DFf32 * q.HSf32)
-	q.GeomeanI8 = math.Sqrt(q.DFi8 * q.HSi8)
-	q.Best, q.BestTier = q.GeomeanF32, "f32"
-	if q.GeomeanI8 > q.Best {
-		q.Best, q.BestTier = q.GeomeanI8, "i8"
-	}
 
 	rep.BuildInsertNs, rep.BuildBulkNs, rep.BuildBulkSpeedup = buildCost(&rep)
 	rep.SnapshotLoad = measureSnapshotLoad(&rep)
 	rep.Throughput = measureScaling(&rep, idx, queries, rep.KnnK)
 	rep.ShardScaling = measureShardScaling(&rep, items, 8, queries, rep.KnnK)
 
-	// The metrics pass runs under the -quant tier so the coarse-filter
+	// The metrics pass runs under the -quant mode so the coarse-filter
 	// counters (and the derived prune rate) describe the configuration the
 	// user asked about.
 	knn.SetQuantMode(cfg.Quant)
@@ -722,11 +710,11 @@ func captureMetrics(idx knn.Index, queries []geom.Sphere, k int, sa, sb geom.Sph
 	if q := sweep.Get("dominance.prepared.queries"); q > 0 {
 		m.PreparedReuseRate = float64(sweep.Get("dominance.prepared.reuse_hits")) / float64(q)
 	}
-	// Coarse-filter effectiveness: candidates settled by the narrow bounds
-	// over all candidates the quantized pass looked at. Zero when the
-	// metrics pass ran with -quant none.
-	coarse := diff.Get("packed.quant.node_coarse_prunes") + diff.Get("packed.quant.item_coarse_prunes")
-	if total := coarse + diff.Get("packed.quant.node_exact_fallbacks") + diff.Get("packed.quant.item_exact_fallbacks"); total > 0 {
+	// Coarse-filter effectiveness: items settled by the narrow bounds over
+	// all items the quantized pass looked at. Zero when the metrics pass
+	// ran with -quant none.
+	coarse := diff.Get("packed.quant.item_coarse_prunes")
+	if total := coarse + diff.Get("packed.quant.item_exact_fallbacks"); total > 0 {
 		m.CoarsePruneRate = float64(coarse) / float64(total)
 	}
 	lat := obs.MergedHist("knn.search_latency")
@@ -756,10 +744,10 @@ func gateReport(current, committed report, cfg *config) []string {
 			failures = append(failures, fmt.Sprintf(
 				"packed-layout search speedup %.2fx below floor %.2fx", current.SpeedupPacked, cfg.MinPackedSpeedup))
 		}
-		if current.SpeedupQuantized.Best < cfg.MinQuantSpeedup {
+		if current.SpeedupQuantized.GeomeanF32 < cfg.MinQuantSpeedup {
 			failures = append(failures, fmt.Sprintf(
-				"quantized search speedup %.2fx (best tier %s) below floor %.2fx",
-				current.SpeedupQuantized.Best, current.SpeedupQuantized.BestTier, cfg.MinQuantSpeedup))
+				"quantized search speedup %.2fx below floor %.2fx",
+				current.SpeedupQuantized.GeomeanF32, cfg.MinQuantSpeedup))
 		}
 		if current.SpeedupSphereQ < cfg.MinSphereSpeedup {
 			failures = append(failures, fmt.Sprintf(

@@ -152,7 +152,7 @@ func TestGateReport(t *testing.T) {
 	// 1.0x scaling passes.
 	ok := report{
 		SpeedupPointQ: 1.9, SpeedupSphereQ: 1.8, SpeedupPacked: 1.2,
-		SpeedupQuantized: quantBlock{Best: 1.6, BestTier: "f32"},
+		SpeedupQuantized: quantBlock{GeomeanF32: 1.6},
 		KnnAllocsDF:      2, KnnAllocsHS: 1,
 		KnnAllocsPackedDF: 2, KnnAllocsPackedHS: 2,
 		Throughput: throughputBlock{GoMaxProcs: 1, ScalingAtMax: 1.0},
@@ -165,7 +165,7 @@ func TestGateReport(t *testing.T) {
 	// packed, quantized, sphere-query, scaling, four alloc rows).
 	bad := report{
 		SpeedupPointQ: 1.1, SpeedupSphereQ: 1.0, SpeedupPacked: 1.0,
-		SpeedupQuantized: quantBlock{Best: 1.1, BestTier: "i8"},
+		SpeedupQuantized: quantBlock{GeomeanF32: 1.1},
 		KnnAllocsDF:      3, KnnAllocsHS: 5,
 		KnnAllocsPackedDF: 3, KnnAllocsPackedHS: 4,
 		Throughput: throughputBlock{GoMaxProcs: 8, ScalingAtMax: 1.2},

@@ -57,7 +57,6 @@ type config struct {
 	substrate   string
 	maxFill     int
 	algo        string
-	quant       string
 	noPushdown  bool
 
 	snapshotDir    string
@@ -89,7 +88,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.substrate, "substrate", "sstree", "index substrate: sstree|mtree|rtree")
 	fs.IntVar(&c.maxFill, "maxfill", 0, "substrate node capacity (0 = default)")
 	fs.StringVar(&c.algo, "algo", "hs", "per-shard traversal: hs|df")
-	fs.StringVar(&c.quant, "quant", "f32", "coarse-filter tier: none|f32|i8")
 	fs.BoolVar(&c.noPushdown, "no-pushdown", false, "disable cross-shard distK pushdown")
 	fs.StringVar(&c.snapshotDir, "snapshot-dir", "", "snapshot root: each collection loads zero-copy from DIR/<name> when present and compatible, else builds and saves there for the next start")
 	fs.BoolVar(&c.snapshotVerify, "snapshot-verify", false, "checksum every snapshot section at load (trades the lazy mmap cold-start for eager corruption detection)")
@@ -110,11 +108,6 @@ func parseFlags(args []string) (config, error) {
 	default:
 		return c, fmt.Errorf("unknown -algo %q", c.algo)
 	}
-	switch c.quant {
-	case "none", "f32", "i8":
-	default:
-		return c, fmt.Errorf("unknown -quant %q", c.quant)
-	}
 	return c, nil
 }
 
@@ -123,16 +116,6 @@ func (c config) algorithm() knn.Algorithm {
 		return knn.DF
 	}
 	return knn.HS
-}
-
-func (c config) quantMode() knn.QuantMode {
-	switch c.quant {
-	case "none":
-		return knn.QuantNone
-	case "i8":
-		return knn.QuantI8
-	}
-	return knn.QuantF32
 }
 
 // parseCollections splits "name=path,name=path" into ordered pairs.
@@ -294,10 +277,9 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 
 func run(c config) error {
 	obs.SetEnabled(true)
-	knn.SetQuantMode(c.quantMode())
 	obs.SetGauge("build_info",
 		fmt.Sprintf(`version=%q,go_version=%q,quant_mode=%q`,
-			buildinfo.Version, runtime.Version(), c.quant), 1)
+			buildinfo.Version, runtime.Version(), knn.QuantModeNow()), 1)
 
 	// Time-aware telemetry (ISSUE 9): the timeline ticker drives window
 	// rotation, rate deltas, runtime sampling and the snapshot ring; the

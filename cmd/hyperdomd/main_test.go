@@ -17,10 +17,10 @@ func TestParseFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.addr != ":8080" || c.shards != 2 || c.substrate != "sstree" ||
-		c.algo != "hs" || c.quant != "f32" || c.oracle || c.noPushdown {
+		c.algo != "hs" || c.oracle || c.noPushdown {
 		t.Fatalf("defaults %+v", c)
 	}
-	if c.algorithm() != knn.HS || c.quantMode() != knn.QuantF32 {
+	if c.algorithm() != knn.HS || knn.QuantModeNow() != knn.QuantF32 {
 		t.Fatalf("default algo/quant mapping wrong: %+v", c)
 	}
 }
@@ -29,8 +29,9 @@ func TestParseFlagsRejectsBadEnums(t *testing.T) {
 	if _, err := parseFlags([]string{"-algo", "bfs"}); err == nil {
 		t.Fatal("bad -algo accepted")
 	}
-	if _, err := parseFlags([]string{"-quant", "f16"}); err == nil {
-		t.Fatal("bad -quant accepted")
+	// The f32 tier is the only one served; there is no tier flag.
+	if _, err := parseFlags([]string{"-quant", "f32"}); err == nil {
+		t.Fatal("-quant accepted")
 	}
 }
 

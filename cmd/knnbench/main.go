@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	knnbench [-fig N] [-scale S] [-seed N] [-quant none|f32|i8] [-parallel 1,2,4,8]
+//	knnbench [-fig N] [-scale S] [-seed N] [-quant none|f32] [-parallel 1,2,4,8]
 //
 //	-fig      figure to run: 13, 14, 15, 16, or 0 for all (default 0);
 //	          17 runs the index-comparison extension experiment
@@ -13,9 +13,9 @@
 //	-seed     RNG seed (default 1)
 //	-shadow   audit every dominance check against Hyperbola and count
 //	          per-criterion disagreements (Table 1 in vivo; slows checks)
-//	-quant    quantized coarse-filter tier for frozen-snapshot searches
-//	          (none, f32, i8; default f32 — results are identical across
-//	          tiers, only the traversal cost changes; see DESIGN.md §12)
+//	-quant    coarse-filter mode for frozen-snapshot searches (none, f32;
+//	          default f32 — results are identical across modes, only the
+//	          traversal cost changes; see DESIGN.md §12)
 //	-parallel comma-separated worker-pool widths; runs the batch-engine
 //	          scaling experiment over a frozen SS-tree instead of the
 //	          figures and prints a queries/s table per width
@@ -65,7 +65,7 @@ func main() {
 	load := flag.String("load", "",
 		"snapshot directory to open and benchmark (skips the figures and any index build)")
 	quant := flag.String("quant", "f32",
-		"quantized coarse-filter tier for frozen-snapshot searches (none, f32, i8)")
+		"coarse-filter mode for frozen-snapshot searches (none, f32)")
 	pf := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 

@@ -66,26 +66,24 @@ const (
 // KNNResult is the answer of a kNN query.
 type KNNResult = knn.Result
 
-// QuantMode selects which quantized coarse-filter tier frozen snapshots
-// search through: QuantNone (exact kernels only), QuantF32 (the default)
-// or QuantI8. Whatever the tier, answers are bit-identical to the exact
-// path — the tiers only decide how much exact work is skipped. See
-// DESIGN.md §12.
+// QuantMode selects whether frozen snapshots coarse-filter leaf items
+// through their float32 tier: QuantNone (exact kernels only) or QuantF32
+// (the default). Either way answers are bit-identical to the exact path —
+// the mode only decides how much exact work is skipped. See DESIGN.md §12.
 type QuantMode = knn.QuantMode
 
-// The three coarse-filter tiers.
+// The two coarse-filter modes.
 const (
 	QuantNone QuantMode = knn.QuantNone
 	QuantF32  QuantMode = knn.QuantF32
-	QuantI8   QuantMode = knn.QuantI8
 )
 
-// SetQuantMode switches the process-wide coarse-filter tier and returns
-// the previous mode. Safe under concurrent searches: each search reads
-// the mode once at dispatch, so no traversal straddles tiers.
+// SetQuantMode switches the process-wide coarse-filter mode and returns
+// the previous one. Safe under concurrent searches: each search reads the
+// mode once at dispatch, so no traversal straddles modes.
 func SetQuantMode(m QuantMode) QuantMode { return knn.SetQuantMode(m) }
 
-// QuantModeNow reports the tier searches are currently dispatched with.
+// QuantModeNow reports the mode searches are currently dispatched with.
 func QuantModeNow() QuantMode { return knn.QuantModeNow() }
 
 // KNN answers the k-nearest-neighbour query of the paper's Definition 2

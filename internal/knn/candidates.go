@@ -94,7 +94,7 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 	// tallies before flushObs zeroes them, and snapshot both sides of the
 	// distK pushdown — the shard's own final local distK versus the shared
 	// bound it could prune with.
-	cs.CoarsePrunes = sc.qNodePrunes + sc.qItemPrunes
+	cs.CoarsePrunes = sc.qItemPrunes
 	cs.BoundPublished = l.distK()
 	if ext != nil {
 		cs.BoundObserved = ext.Load()

@@ -66,7 +66,7 @@ func eqResult(t *testing.T, label string, want, got Result) {
 // snapshot loaded from disk — through the copying path and the mmap path
 // alike — must answer every query with bit-identical result sets AND
 // bit-identical knn.Stats versus the in-memory original, across all three
-// substrates, both traversal strategies and all three quantization tiers.
+// substrates, both traversal strategies and both quantization modes.
 func TestLoadedSnapshotBitIdentity(t *testing.T) {
 	prev := SetQuantMode(QuantNone)
 	defer SetQuantMode(prev)
@@ -104,7 +104,7 @@ func TestLoadedSnapshotBitIdentity(t *testing.T) {
 			for i := range queries {
 				queries[i] = randQuery(rng, d, 2)
 			}
-			for _, qm := range []QuantMode{QuantNone, QuantF32, QuantI8} {
+			for _, qm := range []QuantMode{QuantNone, QuantF32} {
 				SetQuantMode(qm)
 				for _, algo := range []Algorithm{DF, HS} {
 					for qi, sq := range queries {

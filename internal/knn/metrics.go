@@ -39,12 +39,10 @@ var (
 )
 
 // Quantized coarse-filter counters (ISSUE 6): how often the narrow-tier
-// pass settled a candidate (coarse prune) versus deferring to the exact
-// float64 block (exact fallback), split by child entries and leaf items.
-// prunes/(prunes+fallbacks) is the coarse hit-rate the bench reports.
+// leaf pass settled an item (coarse prune) versus deferring to the exact
+// float64 block (exact fallback). prunes/(prunes+fallbacks) is the coarse
+// hit-rate the bench reports.
 var (
-	obsQuantNodePrunes = obs.New("packed.quant.node_coarse_prunes")
-	obsQuantNodeExact  = obs.New("packed.quant.node_exact_fallbacks")
 	obsQuantItemPrunes = obs.New("packed.quant.item_coarse_prunes")
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
@@ -142,24 +140,18 @@ func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, s
 	}
 	flushStats(st)
 
-	heapPushes := sc.heap.pushes + sc.ssHeap.pushes + sc.pHeap.pushes
+	heapPushes := sc.heap.pushes + sc.pHeap.pushes
 	if heapPushes != 0 {
 		obsHeapPushes.Add(heapPushes)
 	}
-	if n := sc.heap.pops + sc.ssHeap.pops + sc.pHeap.pops; n != 0 {
+	if n := sc.heap.pops + sc.pHeap.pops; n != 0 {
 		obsHeapPops.Add(n)
 	}
-	if n := sc.heap.grown + sc.ssHeap.grown + sc.pHeap.grown; n != 0 {
+	if n := sc.heap.grown + sc.pHeap.grown; n != 0 {
 		obsHeapGrowth.Add(n)
 	}
 	if sc.dfExpansions != 0 {
 		obsDFExpansions.Add(sc.dfExpansions)
-	}
-	if sc.qNodePrunes != 0 {
-		obsQuantNodePrunes.Add(sc.qNodePrunes)
-	}
-	if sc.qNodeExact != 0 {
-		obsQuantNodeExact.Add(sc.qNodeExact)
 	}
 	if sc.qItemPrunes != 0 {
 		obsQuantItemPrunes.Add(sc.qItemPrunes)
@@ -212,10 +204,8 @@ func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, s
 // put-back with the gate off) has accounted for.
 func (sc *scratch) clearObsTallies() {
 	sc.heap.pushes, sc.heap.pops, sc.heap.grown = 0, 0, 0
-	sc.ssHeap.pushes, sc.ssHeap.pops, sc.ssHeap.grown = 0, 0, 0
 	sc.pHeap.pushes, sc.pHeap.pops, sc.pHeap.grown = 0, 0, 0
 	sc.dfExpansions = 0
-	sc.qNodePrunes, sc.qNodeExact = 0, 0
 	sc.qItemPrunes, sc.qItemExact = 0, 0
 	sc.list.deferMerges, sc.list.deferItems = 0, 0
 }

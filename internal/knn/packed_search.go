@@ -12,17 +12,8 @@ import (
 // (ISSUE 5) rather than the pointer-chasing node path.
 var obsSearchPacked = obs.New("knn.searches.packed")
 
-// quantNodePhase gates the node-level (child bounds) coarse pass. Measured
-// on the 10k-item bench fixture, only ~20% of children prune at node level
-// (vs ~99% of leaf items): the narrow select pass plus per-survivor exact
-// re-scoring costs more than the streaming exact kernel it replaces, so the
-// traversals run the coarse filter at leaf granularity only. The node
-// kernels and accessors stay built and tested should a workload with
-// heavier node-level pruning want them back.
-const quantNodePhase = false
-
 // quantOn reports whether this search should run the two-phase
-// coarse-filter loops (ISSUE 6): a quantized tier is selected, the search
+// coarse-filter leaf loop (ISSUE 6): the f32 tier is selected, the search
 // is not being traced (the trace schema records exact per-entry distances,
 // which the coarse pass deliberately never computes), and the best-list is
 // full with a usable threshold (0 <= dk < +Inf: an unbounded dk can prune
@@ -30,7 +21,7 @@ const quantNodePhase = false
 // — would reintroduce the mixed-sign cancellation the select kernels'
 // threshold arithmetic excludes; see vec/quant.go).
 func (sc *scratch) quantOn(dk float64) bool {
-	return sc.quant != packed.TierNone && sc.tb == nil && dk >= 0 && !math.IsInf(dk, 1)
+	return sc.coarse && sc.tb == nil && dk >= 0 && !math.IsInf(dk, 1)
 }
 
 // frozenOf returns the substrate's cached packed snapshot, or nil when the
@@ -97,7 +88,7 @@ func (sc *scratch) offerLeafPacked(t *packed.Tree, n int32, sq geom.Sphere, l *b
 		// entry-distk coarse decisions valid (they prune a subset of what
 		// the live value would).
 		sc.qSel = growToI32(sc.qSel, len(items))
-		nsel := t.LeafQuantSelect(sc.quant, n, sq, dk, sc.qSel)
+		nsel := t.LeafQuantSelect(n, sq, dk, sc.qSel)
 		dropped := len(items) - nsel
 		sc.qItemPrunes += uint64(dropped)
 		sc.qItemExact += uint64(nsel)
@@ -151,32 +142,9 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	kids := t.Children(n)
 	nc := len(kids)
 	sc.dfExpansions += uint64(nc)
-	// Two-phase expansion (ISSUE 6): score every child off the narrow tier
-	// first and compute the exact mindist only for children whose bound
-	// does not already exceed distk. Dropped children are exactly the ones
-	// the exact path would never recurse into: their exact mindist is >= the
-	// bound > distk-at-expansion >= distk at any later point of this visit
-	// loop (distk only shrinks), so the sorted visit sequence, the break
-	// point and every Stats field are unchanged. Restricted to fan-outs the
-	// stable insertion sort handles (<= 48): subsetting survivors under the
-	// heapsort fallback could reorder equal-distance children relative to
-	// the pointer path's full-array sort.
-	if quantNodePhase && sc.quantOn(l.distK()) && nc <= 48 {
-		dk := l.distK()
-		sc.qSel = growToI32(sc.qSel, nc)
-		nsel := t.ChildQuantSelect(sc.quant, n, sq, dk, sc.qSel)
-		sc.qNodePrunes += uint64(nc - nsel)
-		sc.qNodeExact += uint64(nsel)
-		for _, i := range sc.qSel[:nsel] {
-			sc.pStack = append(sc.pStack, kids[i])
-			sc.pDists = append(sc.pDists, t.ChildMinDistAt(n, i, sq))
-		}
-		nc = len(sc.pStack) - base
-	} else {
-		sc.pStack = append(sc.pStack, kids...)
-		sc.pDists = growTo(sc.pDists, base+nc)
-		t.ChildMinDists(n, sq, sc.pDists[base:base+nc])
-	}
+	sc.pStack = append(sc.pStack, kids...)
+	sc.pDists = growTo(sc.pDists, base+nc)
+	t.ChildMinDists(n, sq, sc.pDists[base:base+nc])
 	sortByDist(sc.pStack[base:base+nc], sc.pDists[base:base+nc])
 	for i := 0; i < nc; i++ {
 		if sc.pDists[base+i] > l.pruneBound() {
@@ -196,7 +164,7 @@ func (sc *scratch) searchDFPacked(t *packed.Tree, n int32, nd float64, sq geom.S
 	}
 }
 
-// pHeap is the best-first frontier over packed node ids, mirroring ssHeap.
+// pHeap is the best-first frontier over packed node ids, mirroring nodeHeap.
 // Unlike its cursor-based siblings it stores each (dist, id) pair in one
 // struct: a sift step then touches one cache line per level instead of two
 // (the parallel-slice layout showed up as pure memory stalls in profiles),
@@ -293,24 +261,6 @@ func (sc *scratch) searchHSPacked(t *packed.Tree, sq geom.Sphere, l *bestList) {
 		// A hoisted external-bound read is safe: the bound only tightens.
 		dk := l.pruneBound()
 		kids := t.Children(n)
-		if quantNodePhase && sc.quantOn(dk) {
-			// Two-phase (ISSUE 6): a narrow bound beyond distk certifies
-			// the exact mindist is too, so the child is skipped without
-			// touching the exact block — the pointer path would not have
-			// pushed it either. Survivors are scored exactly and pushed in
-			// the same index order as the exact pass, so the heap stays
-			// bit-identical.
-			sc.qSel = growToI32(sc.qSel, len(kids))
-			nsel := t.ChildQuantSelect(sc.quant, n, sq, dk, sc.qSel)
-			sc.qNodePrunes += uint64(len(kids) - nsel)
-			sc.qNodeExact += uint64(nsel)
-			for _, i := range sc.qSel[:nsel] {
-				if d := t.ChildMinDistAt(n, i, sq); d <= dk {
-					h.push(kids[i], d)
-				}
-			}
-			continue
-		}
 		sc.pBuf = growTo(sc.pBuf, len(kids))
 		t.ChildMinDists(n, sq, sc.pBuf)
 		for i, c := range kids {

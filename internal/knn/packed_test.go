@@ -42,16 +42,16 @@ func buildFixtures(rng *rand.Rand, d, n int) ([]Item, []frozenFixture) {
 
 // TestPackedMatchesPointer is the differential lock of ISSUE 5, widened by
 // ISSUE 6 over the quantization modes: on every substrate, both traversal
-// strategies and every quant tier (none, f32, i8), a frozen tree must
+// strategies and both quant modes (none, f32), a frozen tree must
 // return the exact result list (items AND order) and the exact work Stats
-// the pointer path returns. The tiers keep even Stats identical because a
+// the pointer path returns. The f32 tier keeps even Stats identical because a
 // coarse prune takes exactly the branch the exact value would have taken —
 // the narrow pass only decides *when* the exact block is read, never what
 // the traversal does.
 func TestPackedMatchesPointer(t *testing.T) {
 	prev := SetQuantMode(QuantNone)
 	defer SetQuantMode(prev)
-	quants := []QuantMode{QuantNone, QuantF32, QuantI8}
+	quants := []QuantMode{QuantNone, QuantF32}
 	rng := rand.New(rand.NewSource(501))
 	for _, d := range []int{2, 5, 8} {
 		items, fixtures := buildFixtures(rng, d, 2500)
@@ -64,7 +64,7 @@ func TestPackedMatchesPointer(t *testing.T) {
 		}
 		for _, fx := range fixtures {
 			for _, crit := range []dominance.Criterion{dominance.Hyperbola{}, dominance.MinMax{}} {
-				// Pointer answers first, then freeze and re-ask per tier.
+				// Pointer answers first, then freeze and re-ask per mode.
 				type ans struct{ res [2]Result }
 				pointer := make([]ans, len(queries))
 				for i, sq := range queries {
@@ -123,10 +123,10 @@ func TestPackedMatchesBruteForce(t *testing.T) {
 }
 
 // TestQuantModeFlipDuringSearches hammers concurrent quantized searches
-// while another goroutine flips the process-wide mode across all tiers:
-// every search must still return the pointer answer, whatever tier it
+// while another goroutine flips the process-wide mode back and forth:
+// every search must still return the pointer answer, whatever mode it
 // happened to stash at dispatch (the mode is read once per search, so no
-// traversal can straddle tiers), and under -race this doubles as the data
+// traversal can straddle modes), and under -race this doubles as the data
 // race lock on the quantized two-phase path.
 func TestQuantModeFlipDuringSearches(t *testing.T) {
 	prev := SetQuantMode(QuantNone)
@@ -147,7 +147,7 @@ func TestQuantModeFlipDuringSearches(t *testing.T) {
 	flipDone := make(chan struct{})
 	go func() {
 		defer close(flipDone)
-		modes := []QuantMode{QuantNone, QuantF32, QuantI8}
+		modes := []QuantMode{QuantNone, QuantF32}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:

@@ -15,7 +15,7 @@ func TestQuantModeGauge(t *testing.T) {
 
 	check := func(active QuantMode) {
 		t.Helper()
-		for _, m := range []QuantMode{QuantNone, QuantF32, QuantI8} {
+		for _, m := range []QuantMode{QuantNone, QuantF32} {
 			v, ok := obs.GaugeValue("quant_mode", `mode="`+m.String()+`"`)
 			if !ok {
 				t.Fatalf("quant_mode{mode=%q} not registered", m)
@@ -30,13 +30,11 @@ func TestQuantModeGauge(t *testing.T) {
 		}
 	}
 
-	SetQuantMode(QuantI8)
-	check(QuantI8)
-	if got := QuantModeNow(); got != QuantI8 {
-		t.Fatalf("QuantModeNow = %v, want i8", got)
-	}
 	SetQuantMode(QuantNone)
 	check(QuantNone)
+	if got := QuantModeNow(); got != QuantNone {
+		t.Fatalf("QuantModeNow = %v, want none", got)
+	}
 	SetQuantMode(QuantF32)
 	check(QuantF32)
 }

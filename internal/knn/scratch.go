@@ -4,8 +4,6 @@ import (
 	"sync"
 
 	"hyperdom/internal/obs"
-	"hyperdom/internal/packed"
-	"hyperdom/internal/sstree"
 )
 
 // scratch is the per-search reusable arena: every buffer a traversal needs —
@@ -14,7 +12,7 @@ import (
 // a steady-state Search performs no heap allocation beyond the answer slice
 // it hands to the caller.
 //
-// The child frames (stack/dists, ssStack/ssDists) are flat arenas shared by
+// The child frames (stack/dists, pStack/pDists) are flat arenas shared by
 // all levels of a depth-first recursion: each visit records the current
 // length as its frame base, appends its children, and truncates back to the
 // base on exit. Appends reuse the retained capacity, so after the first few
@@ -30,11 +28,6 @@ type scratch struct {
 	dists []float64   // MinDist keys parallel to stack
 	heap  nodeHeap    // HS frontier
 
-	// Concrete SS-tree fast-path state (no IndexNode boxing).
-	ssStack []sstree.Node
-	ssDists []float64
-	ssHeap  ssHeap
-
 	// Packed (frozen snapshot) fast-path state: dense node ids instead of
 	// cursors, plus a staging buffer for the streaming kernel outputs
 	// (leaf item distances, HS child mindists). None of these hold
@@ -44,16 +37,14 @@ type scratch struct {
 	pBuf   []float64
 	pHeap  pHeap
 
-	// Quantized coarse-filter state (ISSUE 6): the tier this search
-	// consults (stashed once at packed dispatch from the process-wide
-	// QuantMode), the survivor-index buffer the select kernels fill, and
-	// the coarse-prune / exact-fallback tallies flushObs drains. Plain
-	// values, nothing to clear on pool put-back.
-	quant packed.Tier
-	qSel  []int32
+	// Quantized coarse-filter state (ISSUE 6): whether this search runs
+	// the f32 leaf pass (stashed once at packed dispatch from the
+	// process-wide QuantMode), the survivor-index buffer the select kernel
+	// fills, and the coarse-prune / exact-fallback tallies flushObs
+	// drains. Plain values, nothing to clear on pool put-back.
+	coarse bool
+	qSel   []int32
 
-	qNodePrunes uint64
-	qNodeExact  uint64
 	qItemPrunes uint64
 	qItemExact  uint64
 
@@ -85,10 +76,6 @@ func (sc *scratch) resetTraversal() {
 	sc.dists = sc.dists[:0]
 	sc.heap.nodes = clearLen(sc.heap.nodes)
 	sc.heap.dists = sc.heap.dists[:0]
-	sc.ssStack = clearLen(sc.ssStack)
-	sc.ssDists = sc.ssDists[:0]
-	sc.ssHeap.nodes = clearLen(sc.ssHeap.nodes)
-	sc.ssHeap.dists = sc.ssHeap.dists[:0]
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
 	sc.pHeap.es = sc.pHeap.es[:0]
@@ -113,10 +100,6 @@ func putScratch(sc *scratch) {
 	sc.dists = sc.dists[:0]
 	sc.heap.nodes = clearCap(sc.heap.nodes)
 	sc.heap.dists = sc.heap.dists[:0]
-	sc.ssStack = clearCap(sc.ssStack)
-	sc.ssDists = sc.ssDists[:0]
-	sc.ssHeap.nodes = clearCap(sc.ssHeap.nodes)
-	sc.ssHeap.dists = sc.ssHeap.dists[:0]
 	sc.pStack = sc.pStack[:0]
 	sc.pDists = sc.pDists[:0]
 	sc.pHeap.es = sc.pHeap.es[:0]

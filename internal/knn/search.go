@@ -7,7 +7,6 @@ import (
 	"hyperdom/internal/dominance"
 	"hyperdom/internal/geom"
 	"hyperdom/internal/obs"
-	"hyperdom/internal/packed"
 	"hyperdom/internal/sstree"
 )
 
@@ -58,11 +57,11 @@ type IndexNode interface {
 }
 
 // Search answers the kNN query of Definition 2 over an index using the
-// given traversal strategy and dominance criterion. SS-tree indexes take a
-// concrete fast path that traverses sstree.Node cursors directly; other
-// indexes go through the IndexNode interface. Either way the traversal runs
-// out of a pooled scratch arena and performs no steady-state heap
-// allocation beyond the returned answer slice.
+// given traversal strategy and dominance criterion. Frozen substrates take
+// the packed traversal; everything else goes through the IndexNode
+// interface — the differential oracle the packed path is tested against.
+// Either way the traversal runs out of a pooled scratch arena and performs
+// no steady-state heap allocation beyond the returned answer slice.
 func Search(idx Index, sq geom.Sphere, k int, crit dominance.Criterion, algo Algorithm) Result {
 	sc := getScratch()
 	defer putScratch(sc)
@@ -105,9 +104,9 @@ func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Crite
 }
 
 // traverse runs the index traversal shared by Search (finish() filter) and
-// SearchCandidates (raw candidate stream): dispatch to the packed,
-// concrete-SS-tree or generic path, with the best-known list filled in and
-// the per-search instrumentation armed. ext is the optional scatter-gather
+// SearchCandidates (raw candidate stream): dispatch to the packed or the
+// generic path, with the best-known list filled in and the per-search
+// instrumentation armed. ext is the optional scatter-gather
 // pushdown bound (nil for single-index searches — the nil check is the
 // only cost the hot path pays for it). ok=false means the index was empty:
 // the list holds nothing and any sampled trace was cancelled; callers skip
@@ -145,15 +144,12 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 			return nil, start, false
 		}
 		// Stash the process-wide quantization mode for this search: the
-		// two-phase loops consult sc.quant so a concurrent SetQuantMode
-		// cannot split one traversal across tiers. A degenerate query
-		// radius (negative or NaN) takes the exact path outright — the
-		// coarse kernels' threshold arithmetic assumes all-non-negative
+		// two-phase leaf loop consults sc.coarse so a concurrent
+		// SetQuantMode cannot flip the mode mid-traversal. A degenerate
+		// query radius (negative or NaN) takes the exact path outright —
+		// the coarse kernel's threshold arithmetic assumes all-non-negative
 		// terms (see vec/quant.go), and such a query is never hot.
-		sc.quant = QuantModeNow().tier()
-		if !(sq.Radius >= 0) {
-			sc.quant = packed.TierNone
-		}
+		sc.coarse = QuantModeNow() == QuantF32 && sq.Radius >= 0
 		switch algo {
 		case DF:
 			sc.searchDFPacked(pt, pt.Root(), pt.RootMinDist(sq), sq, l)
@@ -164,22 +160,6 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 		}
 		if obs.On() {
 			obsSearchPacked.Inc()
-		}
-		return l, start, true
-	}
-	if a, isSS := idx.(ssAdapter); isSS {
-		root, rok := a.t.Root()
-		if !rok {
-			sc.cancelTrace()
-			return nil, start, false
-		}
-		switch algo {
-		case DF:
-			sc.searchDFSS(root, sq, l)
-		case HS:
-			sc.searchHSSS(root, sq, l)
-		default:
-			panic(fmt.Sprintf("knn: unknown algorithm %d", int(algo)))
 		}
 		return l, start, true
 	}
@@ -392,8 +372,7 @@ func (sc *scratch) searchHS(root IndexNode, sq geom.Sphere, l *bestList) {
 	}
 }
 
-// ssAdapter adapts an SS-tree to the Index interface. Searches recognise it
-// and traverse the tree's concrete cursors directly.
+// ssAdapter adapts an SS-tree to the Index interface.
 type ssAdapter struct{ t *sstree.Tree }
 
 // WrapSSTree adapts an SS-tree for Search.
@@ -418,158 +397,4 @@ func (n ssNode) ChildNodes(dst []IndexNode) []IndexNode {
 		dst = append(dst, ssNode{n.n.Child(i)})
 	}
 	return dst
-}
-
-// searchDFSS is searchDF over concrete sstree.Node cursors: no IndexNode
-// boxing, no interface dispatch on the MinDist hot call.
-func (sc *scratch) searchDFSS(n sstree.Node, sq geom.Sphere, l *bestList) {
-	l.stats.NodesVisited++
-	sp := int32(-1)
-	if tb := sc.tb; tb != nil {
-		sp = tb.StartNode(n.DebugID(), geom.MinDist(n.Sphere(), sq))
-	}
-	if n.IsLeaf() {
-		items := n.Items()
-		for _, it := range items {
-			l.offer(it)
-		}
-		if sc.tb != nil {
-			sc.tb.EndNode(sp, 0, int32(len(items)))
-		}
-		return
-	}
-	base := len(sc.ssStack)
-	nc := n.NumChildren()
-	sc.dfExpansions += uint64(nc)
-	for i := 0; i < nc; i++ {
-		c := n.Child(i)
-		sc.ssStack = append(sc.ssStack, c)
-		sc.ssDists = append(sc.ssDists, geom.MinDist(c.Sphere(), sq))
-	}
-	sortByDist(sc.ssStack[base:base+nc], sc.ssDists[base:base+nc])
-	for i := 0; i < nc; i++ {
-		if sc.ssDists[base+i] > l.pruneBound() {
-			if tb := sc.tb; tb != nil {
-				for j := i; j < nc; j++ {
-					tb.NodePrune(sc.ssStack[base+j].DebugID(), sc.ssDists[base+j])
-				}
-			}
-			break
-		}
-		sc.searchDFSS(sc.ssStack[base+i], sq, l)
-	}
-	clear(sc.ssStack[base : base+nc])
-	sc.ssStack = sc.ssStack[:base]
-	sc.ssDists = sc.ssDists[:base]
-	if sc.tb != nil {
-		sc.tb.EndNode(sp, int32(nc), 0)
-	}
-}
-
-// ssHeap is nodeHeap over concrete SS-tree cursors.
-type ssHeap struct {
-	nodes []sstree.Node
-	dists []float64
-
-	// Scratch-local observability tallies, as in nodeHeap.
-	pushes, pops, grown uint64
-}
-
-func (h *ssHeap) len() int { return len(h.nodes) }
-
-func (h *ssHeap) push(n sstree.Node, d float64) {
-	h.pushes++
-	if len(h.nodes) == cap(h.nodes) {
-		h.grown++
-	}
-	h.nodes = append(h.nodes, n)
-	h.dists = append(h.dists, d)
-	i := len(h.nodes) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.dists[p] <= h.dists[i] {
-			break
-		}
-		h.nodes[p], h.nodes[i] = h.nodes[i], h.nodes[p]
-		h.dists[p], h.dists[i] = h.dists[i], h.dists[p]
-		i = p
-	}
-}
-
-func (h *ssHeap) pop() (sstree.Node, float64) {
-	h.pops++
-	n, d := h.nodes[0], h.dists[0]
-	last := len(h.nodes) - 1
-	h.nodes[0], h.dists[0] = h.nodes[last], h.dists[last]
-	h.nodes[last] = sstree.Node{} // release the cursor's tree reference
-	h.nodes = h.nodes[:last]
-	h.dists = h.dists[:last]
-	h.siftDown(0)
-	return n, d
-}
-
-func (h *ssHeap) siftDown(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h.nodes) {
-			return
-		}
-		if c+1 < len(h.nodes) && h.dists[c+1] < h.dists[c] {
-			c++
-		}
-		if h.dists[i] <= h.dists[c] {
-			return
-		}
-		h.nodes[i], h.nodes[c] = h.nodes[c], h.nodes[i]
-		h.dists[i], h.dists[c] = h.dists[c], h.dists[i]
-		i = c
-	}
-}
-
-// searchHSSS is searchHS over concrete sstree.Node cursors. Children are
-// scored and pushed straight from the node — no intermediate child slice at
-// all.
-func (sc *scratch) searchHSSS(root sstree.Node, sq geom.Sphere, l *bestList) {
-	h := &sc.ssHeap
-	h.push(root, geom.MinDist(root.Sphere(), sq))
-	for h.len() > 0 {
-		n, dist := h.pop()
-		if dist > l.pruneBound() {
-			if tb := sc.tb; tb != nil {
-				tb.NodePrune(n.DebugID(), dist)
-			}
-			return
-		}
-		l.stats.NodesVisited++
-		sp := int32(-1)
-		if tb := sc.tb; tb != nil {
-			sp = tb.StartNode(n.DebugID(), dist)
-		}
-		if n.IsLeaf() {
-			items := n.Items()
-			for _, it := range items {
-				l.offer(it)
-			}
-			if sc.tb != nil {
-				sc.tb.EndNode(sp, 0, int32(len(items)))
-			}
-			continue
-		}
-		// Invariant: distk cannot change inside this loop — it only shrinks
-		// when an item is offered, and this loop only pushes child nodes.
-		// A hoisted external-bound read is safe: the bound only tightens.
-		dk := l.pruneBound()
-		m := n.NumChildren()
-		for i := 0; i < m; i++ {
-			c := n.Child(i)
-			if d := geom.MinDist(c.Sphere(), sq); d <= dk {
-				h.push(c, d)
-			} else if tb := sc.tb; tb != nil {
-				tb.NodePrune(c.DebugID(), d)
-			}
-		}
-		if sc.tb != nil {
-			sc.tb.EndNode(sp, int32(m), 0)
-		}
-	}
 }

@@ -9,13 +9,12 @@ import (
 	"hyperdom/internal/geom"
 )
 
-// FuzzQuantizedLowerBound locks the conservatism contract of the narrow
-// tiers (ISSUE 6): on arbitrary nodes of 2–10 dimensions — NaN/Inf
-// coordinates, magnitudes beyond float32 range, denormals, whatever the
-// fuzzer finds — every bound a quantized kernel writes must be finite,
-// non-negative, and never exceed the exact kernel's value for the same
-// entry. This is exactly the property the two-phase traversal needs: a
-// coarse prune (bound > distk) is then always a decision the exact path
+// FuzzQuantizedLowerBound locks the conservatism contract of the float32
+// item tier (ISSUE 6): on arbitrary leaves of 2–10 dimensions — NaN/Inf
+// coordinates, magnitudes beyond float32 range, denormals, negative radii,
+// whatever the fuzzer finds — every item LeafQuantSelect drops must have
+// an exact mindist above dk. This is exactly the property the two-phase
+// traversal needs: a coarse prune is then always a decision the exact path
 // would have made too.
 func FuzzQuantizedLowerBound(f *testing.F) {
 	f.Add([]byte{3, 4, 0})
@@ -51,118 +50,37 @@ func FuzzQuantizedLowerBound(f *testing.F) {
 			return rng.NormFloat64() * 100
 		}
 
-		centers := make([][]float64, n)
-		radii := make([]float64, n)
-		lo := make([][]float64, n)
-		hi := make([][]float64, n)
 		items := make([]geom.Item, n)
-		for i := 0; i < n; i++ {
+		for i := range items {
 			c := make([]float64, dim)
-			l := make([]float64, dim)
-			h := make([]float64, dim)
-			for j := 0; j < dim; j++ {
+			for j := range c {
 				c[j] = next()
-				l[j] = next()
-				h[j] = l[j] + math.Abs(next())
 			}
-			centers[i], radii[i], lo[i], hi[i] = c, next(), l, h
-			items[i] = geom.Item{ID: i, Sphere: geom.Sphere{Center: c, Radius: radii[i]}}
+			items[i] = geom.Item{ID: i, Sphere: geom.Sphere{Center: c, Radius: next()}}
 		}
 		qc := make([]float64, dim)
 		for j := range qc {
 			qc[j] = next()
 		}
-		q := geom.Sphere{Center: qc, Radius: next()}
+		// The select kernel's threshold arithmetic assumes a non-negative
+		// query radius and dk — exactly what the traversal guarantees
+		// (quantOn and the dispatch gate in knn/search.go) — so the query
+		// runs with |radius|.
+		q := geom.Sphere{Center: qc, Radius: math.Abs(next())}
 
-		exact := make([]float64, n)
-		bound := make([]float64, n)
-		check := func(kind string, tier Tier) {
-			t.Helper()
-			for i := range bound {
-				b, e := bound[i], exact[i]
-				if math.IsNaN(b) || b < 0 || b > math.MaxFloat64 {
-					t.Fatalf("%s tier=%d entry %d: bound %v not in [0, MaxFloat64], dim=%d n=%d",
-						kind, tier, i, b, dim, n)
-				}
-				// The exact kernels clamp at 0 and never produce NaN (a NaN
-				// raw mindist fails the >0 test), so <= is well-defined.
-				if b > e {
-					t.Fatalf("%s tier=%d entry %d: bound %v exceeds exact %v, dim=%d n=%d",
-						kind, tier, i, b, e, dim, n)
-				}
-			}
-		}
-
-		// Sphere-bounded internal node + leaf (SS-tree / M-tree shape).
-		sb := NewBuilder(KindSphere, dim)
-		leafID := sb.Leaf(items)
-		node := sb.InternalSphere(kidsOf(leafID, n), centers, radii)
-		st := sb.FinishSphere(node, centers[0], radii[0])
-		for _, tier := range []Tier{TierF32, TierI8} {
-			st.ChildMinDists(node, q, exact)
-			st.ChildQuantBounds(tier, node, q, bound)
-			check("sphere-child", tier)
-
-			// Leaf item bounds compare against the exact per-item mindist
-			// expression the traversal evaluates: dist − radius − qr.
-			st.LeafDists(leafID, qc, exact)
-			ir := st.ItemRadii(leafID)
-			for i := range exact {
-				if m := exact[i] - ir[i] - q.Radius; m > 0 {
-					exact[i] = m
-				} else {
-					exact[i] = 0
-				}
-			}
-			st.LeafQuantBounds(tier, leafID, q, bound)
-			check("leaf-item", tier)
-
-			// Two-stage select (pivot pre-filter + narrow refine): every
-			// index it drops must be one the exact path would prune
-			// (mindist > dk). The select kernels' threshold arithmetic
-			// assumes a non-negative query radius and dk — exactly what
-			// the traversal guarantees (quantOn and the dispatch gate in
-			// knn/search.go) — so the check runs the query with |radius|.
-			// Exercise a query-derived dk and one sitting in the middle of
-			// the exact mindist range, where the drop/keep boundary
-			// actually cuts.
-			absQ := geom.Sphere{Center: qc, Radius: math.Abs(q.Radius)}
-			st.LeafDists(leafID, qc, exact)
-			for i := range exact {
-				if m := exact[i] - ir[i] - absQ.Radius; m > 0 {
-					exact[i] = m
-				} else {
-					exact[i] = 0
-				}
-			}
-			sel := make([]int32, n)
-			for _, dk := range []float64{absQ.Radius, exact[n/2]} {
+		// The item tier is kind-agnostic, but each kind freezes through
+		// its own builder path. Exercise a query-derived dk and one sitting
+		// in the middle of the exact mindist range, where the drop/keep
+		// boundary actually cuts.
+		for _, kind := range []Kind{KindSphere, KindRect} {
+			tr, leaf := freezeLeaf(kind, dim, items)
+			exact := itemMinDists(tr, leaf, q)
+			for _, dk := range []float64{q.Radius, exact[n/2]} {
 				if math.IsNaN(dk) || math.IsInf(dk, 0) {
 					continue
 				}
-				nsel := st.LeafQuantSelect(tier, leafID, absQ, dk, sel)
-				kept := make(map[int32]bool, nsel)
-				for _, i := range sel[:nsel] {
-					kept[i] = true
-				}
-				for i := range exact {
-					if !kept[int32(i)] && !(exact[i] > dk) {
-						t.Fatalf("leaf-select tier=%d entry %d: dropped but exact mindist %v <= dk %v, dim=%d n=%d",
-							tier, i, exact[i], dk, dim, n)
-					}
-				}
+				leafSelectKept(t, tr, leaf, q, dk, exact)
 			}
-		}
-
-		// Rect-bounded internal node (R-tree shape).
-		rb := NewBuilder(KindRect, dim)
-		rleaf := rb.Leaf(items)
-		node = rb.InternalRect(kidsOf(rleaf, n), lo, hi)
-		rt := rb.FinishRect(node, lo[0], hi[0])
-		for _, tier := range []Tier{TierF32, TierI8} {
-			rt.ChildMinDists(node, q, exact)
-			rt.ChildQuantBounds(tier, node, q, bound)
-			check("rect-child", tier)
 		}
 	})
 }

@@ -2,7 +2,12 @@ package packed
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"hyperdom/internal/geom"
@@ -91,19 +96,39 @@ func FuzzSnapshotOpen(f *testing.F) {
 				dst = append(dst[:0], make([]float64, len(items))...)
 				tr.LeafDists(n, q.Center, dst)
 				sel = append(sel[:0], make([]int32, len(items))...)
-				tr.LeafQuantSelect(TierF32, n, q, 1, sel)
-				tr.LeafQuantSelect(TierI8, n, q, 1, sel)
+				tr.LeafQuantSelect(n, q, 1, sel)
 				continue
 			}
 			kids := tr.Children(n)
 			dst = append(dst[:0], make([]float64, len(kids))...)
 			tr.ChildMinDists(n, q, dst)
-			if len(kids) > 0 {
-				sel = append(sel[:0], make([]int32, len(kids))...)
-				tr.ChildQuantSelect(TierF32, n, q, 1, sel)
-				tr.ChildQuantSelect(TierI8, n, q, 1, sel)
-			}
 			stack = append(stack, kids...)
 		}
 	})
+}
+
+// TestSnapshotV1Rejected: a file written in format v1 — which carried the
+// child-bound tiers and the int8 tier this build no longer reads — fails
+// with the typed ErrBadVersion before any section is parsed. The v1 bytes
+// are the v1-header seed of the FuzzSnapshotOpen corpus.
+func TestSnapshotV1Rejected(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSnapshotOpen", "v1-header"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(string(raw), "\n")
+	lit, ok := strings.CutPrefix(strings.TrimSpace(body), "[]byte(")
+	if !ok {
+		t.Fatalf("seed is not a []byte corpus entry")
+	}
+	v1, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("seed literal: %v", err)
+	}
+	if v := binary.LittleEndian.Uint32([]byte(v1)[8:]); v != 1 {
+		t.Fatalf("seed is format v%d, want v1", v)
+	}
+	if _, err := OpenBytes([]byte(v1)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v1 snapshot: error %v, want ErrBadVersion", err)
+	}
 }

@@ -91,9 +91,9 @@ type Tree struct {
 	rootRadius     float64
 	rootLo, rootHi []float64 // KindRect root bound
 
-	// quant holds the narrow (float32 / int8) copies of every child and
-	// item bound used by the coarse-filter pass (ISSUE 6); see quant.go.
-	quant quantTiers
+	// quant holds the float32 copy of the leaf items used by the
+	// coarse-filter pass (ISSUE 6); see quant.go.
+	quant quantTier
 }
 
 // Kind returns the bounding geometry of the tree's internal entries.

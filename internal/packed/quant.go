@@ -7,91 +7,47 @@ import (
 	"hyperdom/internal/vec"
 )
 
-// Quantized coarse-filter tiers (ISSUE 6). Freeze builds, next to the exact
-// float64 blocks, two narrow parallel copies of every child bound and leaf
-// item sphere: a float32 tier and an int8 tier with per-node scale/offset.
-// A traversal streams the narrow copy first (vec.MinDistSphereBlockF32 and
-// friends) to obtain a conservative lower bound on each entry's mindist,
-// prunes on that, and touches the exact float64 block only for the
-// survivors — same answers, a fraction of the bytes.
+// Quantized coarse-filter tier (ISSUE 6). Freeze builds, next to the exact
+// float64 item block of every leaf, a narrow float32 copy of the item
+// centers plus two per-item float32 threshold terms and a per-leaf pivot.
+// A traversal streams the narrow copy first (vec.SelectLeafSphereF32) to
+// drop every item whose mindist certainly exceeds the current kth distance,
+// and touches the exact float64 block only for the survivors — same
+// answers, a fraction of the bytes.
 //
 // The conservatism is bought at build time, not proven per query: every
-// quantized entry carries a float32 slack that upper-bounds how far its
-// reconstructed geometry can understate the exact mindist, measured in
-// float64 from the very dequantization expression the kernels evaluate
-// (center displacement ‖ĉ−c‖ plus any radius shortfall r−r̂, inflated by
-// a 1e-9 relative margin and rounded up). Radii quantize upward (f32Up /
-// ceil codes) so the quantized ball contains the exact one wherever the
-// narrow type can represent it; rectangle bounds quantize outward (lo
-// down, hi up). Degenerate inputs — NaN coordinates, magnitudes beyond
-// the narrow type's range, int8 clamping — simply inflate the entry's
-// slack to +Inf (or leave NaN in it), which the kernels collapse to the
-// never-prunes bound 0, keeping the exact path authoritative.
-// FuzzQuantizedLowerBound exercises exactly these edges. See DESIGN.md §12.
-
-// Tier selects which quantized copy a traversal consults.
-type Tier uint8
-
-const (
-	// TierNone: no coarse pass — stream the exact float64 blocks directly.
-	TierNone Tier = iota
-	// TierF32: float32 centers/radii/bounds, per-entry slack.
-	TierF32
-	// TierI8: int8 codes with per-node scale/offset, per-entry slack.
-	TierI8
-)
-
-// quantTiers holds both narrow copies. Child arrays parallel t.child /
-// t.cCenters; item arrays parallel t.items / t.iCenters; the int8 tier's
-// scale/offset/rScale arrays are indexed by node id.
-type quantTiers struct {
-	// Child bounds, float32 tier.
-	cCen32   []float32 // KindSphere: len(child)*dim
-	cRad32   []float32 // KindSphere: len(child), rounded up
-	cSlack32 []float32 // KindSphere: len(child)
-	cLo32    []float32 // KindRect: len(child)*dim, rounded down
-	cHi32    []float32 // KindRect: len(child)*dim, rounded up
-
-	// Child bounds, int8 tier.
-	cCen8       []int8    // KindSphere: len(child)*dim
-	cRad8       []uint8   // KindSphere: len(child), ceil codes
-	cSlack8     []float32 // KindSphere: len(child)
-	cLo8, cHi8  []int8    // KindRect: len(child)*dim each
-	cRectSlack8 []float32 // KindRect: len(child)
-	cScale      []float64 // per node
-	cOffset     []float64 // per node
-	cRScale     []float64 // KindSphere: per node
-
-	// Leaf item spheres, both tiers (items are spheres in every kind).
-	iCen32   []float32
-	iRad32   []float32
-	iSlack32 []float32
-	iCen8    []int8
-	iRad8    []uint8
-	iSlack8  []float32
-	iScale   []float64 // per node
-	iOffset  []float64 // per node
-	iRScale  []float64 // per node
+// item carries a float32 slack that upper-bounds how far its float32
+// center can understate the exact mindist, measured in float64 from the
+// very values the kernel reads (center displacement ‖ĉ−c‖, inflated by a
+// 1e-9 relative margin and rounded up) and folded, with the round-up
+// radius, into one threshold sum. Degenerate inputs — NaN coordinates,
+// magnitudes beyond float32 range, negative radii — inflate the sum to
+// +Inf (or leave NaN in it), which never prunes, keeping the exact path
+// authoritative. FuzzQuantizedLowerBound exercises exactly these edges.
+// See DESIGN.md §12.
+//
+// Only leaf items are quantized: child bounds prune too rarely at node
+// level for a narrow pass plus per-survivor exact re-scoring to beat the
+// streaming exact kernel.
+type quantTier struct {
+	iCen32 []float32 // len(items)*dim, round-to-nearest centers
 
 	// Pivot pre-filter (the cheap first test of the fused leaf select):
 	// per leaf the mean of its item centers in float64, and per item the
 	// float32 round-up of dist(pivot, c) + rad. One exact distance to the
 	// pivot per visited leaf then settles most items on a single float32
 	// compare via the triangle inequality — see the pivot doc block in
-	// vec/quant.go. Shared by both tiers (the bound is an exact-path
-	// by-product, not quantized geometry). Degenerate coordinates poison
-	// the pivot with NaN, which fails every drop comparison and routes
-	// the whole leaf to the refine stage.
+	// vec/quant.go. Degenerate coordinates poison the pivot with NaN,
+	// which fails every drop comparison and routes the whole leaf to the
+	// refine stage.
 	leafPivot  []float64 // nodes*dim
 	iPivotHi32 []float32 // len(items)
 
-	// Per-item refine-threshold sums for the fused leaf kernels: the
-	// float32 round-up of slack + radius (int8 tier: slack +
-	// rScale·radCode), so the hot loop's threshold is one load and one
-	// add. Rounding the sum up only raises the threshold, which keeps
-	// the drop decision conservative.
+	// Per-item refine-threshold sums: the float32 round-up of slack +
+	// radius, so the hot loop's threshold is one load and one add.
+	// Rounding the sum up only raises the threshold, which keeps the drop
+	// decision conservative.
 	iSR32 []float32 // len(items)
-	iSR8  []float32 // len(items)
 }
 
 // f32Up returns the smallest float32 whose value is >= x (NaN stays NaN,
@@ -105,413 +61,96 @@ func f32Up(x float64) float32 {
 	return f
 }
 
-// f32Down returns the largest float32 whose value is <= x.
-func f32Down(x float64) float32 {
-	f := float32(x)
-	if float64(f) > x {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
-	}
-	return f
-}
-
 // slackMargin inflates a float64-measured slack so that the float32 value
 // stored is a guaranteed upper bound despite the measurement's own
 // rounding (relative error ~1e-15, margin 1e-9).
 func slackMargin(s float64) float32 { return f32Up(s * (1 + 1e-9)) }
 
-// quantSphereF32 appends the float32 tier of one sphere block (n entries,
-// centers[e*dim:], radii[e]) to the destination slices: round-to-nearest
-// centers, round-up radii, and the per-entry slack ‖ĉ−c‖.
-func quantSphereF32(cen32, rad32, slack []float32, centers, radii []float64, dim int) ([]float32, []float32, []float32) {
-	for e := 0; e < len(radii); e++ {
-		c := centers[e*dim : (e+1)*dim]
+// quantItems appends the float32 tier of one leaf's item block (n entries,
+// centers[e*dim:], radii[e]): round-to-nearest centers and the per-entry
+// threshold sum slackMargin(‖ĉ−c‖) + f32Up(r), rounded up.
+func quantItems(cen32, sr []float32, centers, radii []float64, dim int) ([]float32, []float32) {
+	for e, r := range radii {
 		var disp2 float64
-		for _, cj := range c {
+		for _, cj := range centers[e*dim : (e+1)*dim] {
 			w := float32(cj)
 			cen32 = append(cen32, w)
 			d := float64(w) - cj
 			disp2 += d * d
 		}
-		rad32 = append(rad32, f32Up(radii[e]))
 		s := math.Sqrt(disp2)
-		if radii[e] < 0 {
+		if r < 0 {
 			// A negative radius would put a mixed-sign term into the select
-			// kernels' threshold sum, whose cancellation analysis assumes
+			// kernel's threshold sum, whose cancellation analysis assumes
 			// all-non-negative terms; infinite slack disables the entry
 			// (never prunes) and leaves the exact path authoritative.
 			s = math.Inf(1)
 		}
-		slack = append(slack, slackMargin(s))
+		sr = append(sr, f32Up(float64(slackMargin(s))+float64(f32Up(r))))
 	}
-	return cen32, rad32, slack
+	return cen32, sr
 }
 
-// rangeOf returns the min and max of the finite values in xs (0, 0 when
-// none are finite) — the per-node code range for the int8 tier. Skipping
-// non-finite coordinates keeps one degenerate entry from destroying the
-// resolution of its siblings; the entry itself is disabled through its
-// slack.
-func rangeOf(xs []float64) (lo, hi float64, any bool) {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		if !any || x < lo {
-			lo = x
-		}
-		if !any || x > hi {
-			hi = x
-		}
-		any = true
-	}
-	if !any {
-		return 0, 0, false
-	}
-	return lo, hi, true
-}
-
-// i8Params derives the per-node dequantization parameters from a finite
-// value range: codes span [-127, 127], so scale covers the range in 254
-// steps around the midpoint. Degenerate or overflowing ranges collapse to
-// scale 0 (every code dequantizes to offset; per-entry slack absorbs the
-// error, exactly for single-point nodes).
-func i8Params(lo, hi float64) (scale, offset float64) {
-	scale = (hi - lo) / 254
-	offset = (lo + hi) / 2
-	if scale <= 0 || math.IsInf(scale, 0) || math.IsNaN(scale) ||
-		math.IsInf(offset, 0) || math.IsNaN(offset) {
-		return 0, lo
-	}
-	return scale, offset
-}
-
-// i8Code quantizes one coordinate. The NaN-safe clamp pattern matters:
-// converting a NaN or out-of-range float to int8 directly is undefined in
-// Go, so the comparisons run on the float.
-func i8Code(x, scale, offset float64) int8 {
-	if scale == 0 {
-		return 0
-	}
-	t := math.Round((x - offset) / scale)
-	if !(t >= -127) {
-		t = -127
-	}
-	if t > 127 {
-		t = 127
-	}
-	return int8(t)
-}
-
-// i8CodeFloor / i8CodeCeil are the directed-rounding variants for
-// rectangle faces.
-func i8CodeFloor(x, scale, offset float64) int8 {
-	if scale == 0 {
-		return 0
-	}
-	t := math.Floor((x - offset) / scale)
-	if !(t >= -127) {
-		t = -127
-	}
-	if t > 127 {
-		t = 127
-	}
-	return int8(t)
-}
-
-func i8CodeCeil(x, scale, offset float64) int8 {
-	if scale == 0 {
-		return 0
-	}
-	t := math.Ceil((x - offset) / scale)
-	if !(t >= -127) {
-		t = -127
-	}
-	if t > 127 {
-		t = 127
-	}
-	return int8(t)
-}
-
-// radCode quantizes a radius into a ceil uint8 code against rScale and
-// returns the code plus the shortfall r − rScale·code the caller must fold
-// into the entry's slack when positive (a quantized radius smaller than
-// the exact one would otherwise overstate the mindist).
-func radCode(r, rScale float64) (uint8, float64) {
-	if rScale == 0 {
-		return 0, r
-	}
-	t := math.Ceil(r / rScale)
-	if !(t >= 0) {
-		t = 0
-	}
-	if t > 255 {
-		t = 255
-	}
-	code := uint8(t)
-	return code, r - rScale*float64(code)
-}
-
-// quantSphereI8 appends the int8 tier of one sphere block and returns the
-// node's scale/offset/rScale. The slack is measured against the exact
-// dequantization expression the kernel evaluates (offset + scale·code),
-// plus any radius shortfall.
-func quantSphereI8(cen8 []int8, rad8 []uint8, slack []float32, centers, radii []float64, dim int) ([]int8, []uint8, []float32, float64, float64, float64) {
-	lo, hi, _ := rangeOf(centers)
-	scale, offset := i8Params(lo, hi)
-	var maxR float64
-	for _, r := range radii {
-		if r > maxR && !math.IsInf(r, 1) {
-			maxR = r
-		}
-	}
-	rScale := maxR / 255
-	for e := 0; e < len(radii); e++ {
-		c := centers[e*dim : (e+1)*dim]
-		var disp2 float64
-		for _, cj := range c {
-			code := i8Code(cj, scale, offset)
-			cen8 = append(cen8, code)
-			d := offset + scale*float64(code) - cj
-			disp2 += d * d
-		}
-		code, deficit := radCode(radii[e], rScale)
-		rad8 = append(rad8, code)
-		s := math.Sqrt(disp2)
-		if deficit > 0 {
-			s += deficit
-		} else if math.IsNaN(deficit) {
-			s = math.NaN()
-		}
-		if radii[e] < 0 {
-			// See quantSphereF32: a negative radius entry is disabled
-			// through infinite slack rather than allowed to feed a
-			// mixed-sign threshold sum.
-			s = math.Inf(1)
-		}
-		slack = append(slack, slackMargin(s))
-	}
-	return cen8, rad8, slack, scale, offset, rScale
-}
-
-// quantRectI8 appends the int8 tier of one rect block and returns the
-// node's scale/offset. Directed code rounding keeps the quantized rect
-// containing the exact one except where int8 clamping pushed a face
-// inward; the per-coordinate inward shifts δ are folded into the entry
-// slack as ‖δ‖ (per-coordinate distances grow by at most δ_j, so the
-// mindist grows by at most the norm — Minkowski).
-func quantRectI8(lo8, hi8 []int8, slack []float32, cLo, cHi []float64, nEntries, dim int) ([]int8, []int8, []float32, float64, float64) {
-	l1, h1, any1 := rangeOf(cLo)
-	l2, h2, any2 := rangeOf(cHi)
-	switch {
-	case any1 && any2:
-		l1, h1 = math.Min(l1, l2), math.Max(h1, h2)
-	case any2:
-		l1, h1 = l2, h2
-	}
-	scale, offset := i8Params(l1, h1)
-	for e := 0; e < nEntries; e++ {
-		var shift2 float64
-		for j := 0; j < dim; j++ {
-			loJ, hiJ := cLo[e*dim+j], cHi[e*dim+j]
-			lc := i8CodeFloor(loJ, scale, offset)
-			hc := i8CodeCeil(hiJ, scale, offset)
-			lo8 = append(lo8, lc)
-			hi8 = append(hi8, hc)
-			var shift float64
-			if d := offset + scale*float64(lc) - loJ; d > 0 || math.IsNaN(d) {
-				shift = d
-			}
-			if d := hiJ - (offset + scale*float64(hc)); d > shift || math.IsNaN(d) {
-				shift = d
-			}
-			shift2 += shift * shift
-		}
-		slack = append(slack, slackMargin(math.Sqrt(shift2)))
-	}
-	return lo8, hi8, slack, scale, offset
-}
-
-// buildQuant fills both narrow tiers for every node's child block and leaf
-// item block. Called once by finish(); one pass per tier over data the
-// builder just wrote, so freezing stays O(data).
+// buildQuant fills the narrow tier and the pivot of every leaf. Called
+// once by finish(); one pass over data the builder just wrote, so freezing
+// stays O(data).
 func (t *Tree) buildQuant() {
 	q := &t.quant
-	nodes := len(t.leaf)
-	q.cScale = make([]float64, nodes)
-	q.cOffset = make([]float64, nodes)
-	q.iScale = make([]float64, nodes)
-	q.iOffset = make([]float64, nodes)
-	q.iRScale = make([]float64, nodes)
-	q.leafPivot = make([]float64, nodes*t.dim)
-	if t.kind == KindSphere {
-		q.cRScale = make([]float64, nodes)
-	}
 	dim := t.dim
-	for n := 0; n < nodes; n++ {
-		cs, ce := t.childStart[n], t.childStart[n+1]
-		if ce > cs {
-			if t.kind == KindSphere {
-				centers := t.cCenters[cs*int32(dim) : ce*int32(dim)]
-				radii := t.cRadii[cs:ce]
-				q.cCen32, q.cRad32, q.cSlack32 = quantSphereF32(q.cCen32, q.cRad32, q.cSlack32, centers, radii, dim)
-				q.cCen8, q.cRad8, q.cSlack8, q.cScale[n], q.cOffset[n], q.cRScale[n] =
-					quantSphereI8(q.cCen8, q.cRad8, q.cSlack8, centers, radii, dim)
-			} else {
-				lo := t.cLo[cs*int32(dim) : ce*int32(dim)]
-				hi := t.cHi[cs*int32(dim) : ce*int32(dim)]
-				for _, x := range lo {
-					q.cLo32 = append(q.cLo32, f32Down(x))
-				}
-				for _, x := range hi {
-					q.cHi32 = append(q.cHi32, f32Up(x))
-				}
-				q.cLo8, q.cHi8, q.cRectSlack8, q.cScale[n], q.cOffset[n] =
-					quantRectI8(q.cLo8, q.cHi8, q.cRectSlack8, lo, hi, int(ce-cs), dim)
-			}
-		}
+	q.leafPivot = make([]float64, len(t.leaf)*dim)
+	for n := range t.leaf {
 		is, ie := t.itemStart[n], t.itemStart[n+1]
-		if ie > is {
-			centers := t.iCenters[is*int32(dim) : ie*int32(dim)]
-			radii := t.iRadii[is:ie]
-			q.iCen32, q.iRad32, q.iSlack32 = quantSphereF32(q.iCen32, q.iRad32, q.iSlack32, centers, radii, dim)
-			q.iCen8, q.iRad8, q.iSlack8, q.iScale[n], q.iOffset[n], q.iRScale[n] =
-				quantSphereI8(q.iCen8, q.iRad8, q.iSlack8, centers, radii, dim)
-			// Pivot = centroid of the leaf's item centers (any point works
-			// for correctness; the centroid keeps the per-item distances —
-			// and with them the bound's looseness — small).
-			pv := q.leafPivot[n*dim : n*dim+dim]
-			for e := 0; e < int(ie-is); e++ {
-				for j := 0; j < dim; j++ {
-					pv[j] += centers[e*dim+j]
-				}
+		if ie == is {
+			continue
+		}
+		centers := t.iCenters[is*int32(dim) : ie*int32(dim)]
+		radii := t.iRadii[is:ie]
+		q.iCen32, q.iSR32 = quantItems(q.iCen32, q.iSR32, centers, radii, dim)
+		// Pivot = centroid of the leaf's item centers (any point works for
+		// correctness; the centroid keeps the per-item distances — and with
+		// them the bound's looseness — small).
+		pv := q.leafPivot[n*dim : n*dim+dim]
+		for e := range radii {
+			for j := 0; j < dim; j++ {
+				pv[j] += centers[e*dim+j]
 			}
-			for j := range pv {
-				pv[j] /= float64(ie - is)
+		}
+		for j := range pv {
+			pv[j] /= float64(len(radii))
+		}
+		for e, r := range radii {
+			d := vec.DistEntry(pv, centers[e*dim:(e+1)*dim])
+			// Clamp at 0: a negative value would flip the direction the
+			// relative rounding margin must point, and raising the bound
+			// only loosens it, so the clamp stays conservative. A NaN
+			// passes through slackMargin and fails every drop comparison
+			// at query time.
+			hi := d + r
+			if hi < 0 {
+				hi = 0
 			}
-			for e := 0; e < int(ie-is); e++ {
-				d := vec.DistEntry(pv, centers[e*dim:(e+1)*dim])
-				// Clamp at 0: a negative value would flip the direction
-				// the relative rounding margin must point, and raising
-				// the bound only loosens it, so the clamp stays
-				// conservative. A NaN passes through slackMargin and
-				// fails every drop comparison at query time.
-				hi := d + radii[e]
-				if hi < 0 {
-					hi = 0
-				}
-				q.iPivotHi32 = append(q.iPivotHi32, slackMargin(hi))
-			}
-			for e := int(is); e < int(ie); e++ {
-				q.iSR32 = append(q.iSR32, f32Up(float64(q.iSlack32[e])+float64(q.iRad32[e])))
-				q.iSR8 = append(q.iSR8, f32Up(float64(q.iSlack8[e])+q.iRScale[n]*float64(q.iRad8[e])))
-			}
+			q.iPivotHi32 = append(q.iPivotHi32, slackMargin(hi))
 		}
 	}
 }
 
-// ChildQuantBounds streams one pass over internal node n's quantized child
-// bounds in the given tier and writes a conservative lower bound on each
-// child's mindist to the query into dst (length len(Children(n))): every
-// value is finite, >= 0, and <= the exact value ChildMinDists writes for
-// the same entry. Panics if tier is TierNone.
-func (t *Tree) ChildQuantBounds(tier Tier, n int32, q geom.Sphere, dst []float64) {
-	cs, ce := t.childStart[n], t.childStart[n+1]
-	lo, hi := cs*int32(t.dim), ce*int32(t.dim)
-	qt := &t.quant
-	switch {
-	case t.kind == KindSphere && tier == TierF32:
-		vec.MinDistSphereBlockF32(dst, qt.cCen32[lo:hi], qt.cRad32[cs:ce], qt.cSlack32[cs:ce], q.Center, q.Radius)
-	case t.kind == KindSphere && tier == TierI8:
-		vec.MinDistSphereBlockI8(dst, qt.cCen8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRad8[cs:ce], qt.cRScale[n], qt.cSlack8[cs:ce], q.Center, q.Radius)
-	case tier == TierF32:
-		vec.MinDistRectBlockF32(dst, qt.cLo32[lo:hi], qt.cHi32[lo:hi], q.Center, q.Radius)
-	case tier == TierI8:
-		vec.MinDistRectBlockI8(dst, qt.cLo8[lo:hi], qt.cHi8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRectSlack8[cs:ce], q.Center, q.Radius)
-	default:
-		panic("packed: ChildQuantBounds with TierNone")
-	}
-}
-
-// LeafQuantBounds is ChildQuantBounds for leaf n's item spheres: dst gets a
-// conservative lower bound on each item's mindist (dist − radius − query
-// radius, clamped at 0) in the given tier.
-func (t *Tree) LeafQuantBounds(tier Tier, n int32, q geom.Sphere, dst []float64) {
-	is, ie := t.itemStart[n], t.itemStart[n+1]
-	lo, hi := is*int32(t.dim), ie*int32(t.dim)
-	qt := &t.quant
-	switch tier {
-	case TierF32:
-		vec.MinDistSphereBlockF32(dst, qt.iCen32[lo:hi], qt.iRad32[is:ie], qt.iSlack32[is:ie], q.Center, q.Radius)
-	case TierI8:
-		vec.MinDistSphereBlockI8(dst, qt.iCen8[lo:hi], qt.iScale[n], qt.iOffset[n],
-			qt.iRad8[is:ie], qt.iRScale[n], qt.iSlack8[is:ie], q.Center, q.Radius)
-	default:
-		panic("packed: LeafQuantBounds with TierNone")
-	}
-}
-
-// ChildQuantSelect is the traversal-facing form of ChildQuantBounds: it
-// writes into sel the indices (within node n's child block) of the entries
-// whose narrow bound cannot certainly exceed dk, and returns their count.
-// Every dropped entry has exact mindist > dk; survivors must take the exact
-// per-entry fallback (ChildMinDistAt). sel needs room for the node's full
-// child count.
-func (t *Tree) ChildQuantSelect(tier Tier, n int32, q geom.Sphere, dk float64, sel []int32) int {
-	cs, ce := t.childStart[n], t.childStart[n+1]
-	lo, hi := cs*int32(t.dim), ce*int32(t.dim)
-	qt := &t.quant
-	switch {
-	case t.kind == KindSphere && tier == TierF32:
-		return vec.SelectSphereBlockF32(sel, qt.cCen32[lo:hi], qt.cRad32[cs:ce], qt.cSlack32[cs:ce], q.Center, q.Radius, dk)
-	case t.kind == KindSphere && tier == TierI8:
-		return vec.SelectSphereBlockI8(sel, qt.cCen8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRad8[cs:ce], qt.cRScale[n], qt.cSlack8[cs:ce], q.Center, q.Radius, dk)
-	case tier == TierF32:
-		return vec.SelectRectBlockF32(sel, qt.cLo32[lo:hi], qt.cHi32[lo:hi], q.Center, q.Radius, dk)
-	case tier == TierI8:
-		return vec.SelectRectBlockI8(sel, qt.cLo8[lo:hi], qt.cHi8[lo:hi], qt.cScale[n], qt.cOffset[n],
-			qt.cRectSlack8[cs:ce], q.Center, q.Radius, dk)
-	default:
-		panic("packed: ChildQuantSelect with TierNone")
-	}
-}
-
-// LeafQuantSelect is ChildQuantSelect for leaf n's item spheres, fused with
-// the pivot pre-filter: one exact distance to the leaf's pivot, then a
-// single pass in which most items settle on one float32 compare (triangle
-// inequality) and only the unsettled ones pay the per-dimension narrow
-// bound. Both tests are conservative, so the contract is unchanged: every
-// dropped entry has exact mindist > dk.
-func (t *Tree) LeafQuantSelect(tier Tier, n int32, q geom.Sphere, dk float64, sel []int32) int {
+// LeafQuantSelect streams leaf n's narrow item tier, fused with the pivot
+// pre-filter: one exact distance to the leaf's pivot, then a single pass
+// in which most items settle on one float32 compare (triangle inequality)
+// and only the unsettled ones pay the per-dimension narrow bound. It
+// writes into sel the indices (within the leaf) of the items that survive
+// and returns their count; every dropped item has exact mindist
+// (dist − radius − query radius) > dk. Survivors must take the exact
+// per-item fallback (LeafDistAt). sel needs room for the leaf's full item
+// count; q.Radius and dk must be non-negative (see vec/quant.go).
+func (t *Tree) LeafQuantSelect(n int32, q geom.Sphere, dk float64, sel []int32) int {
 	is, ie := t.itemStart[n], t.itemStart[n+1]
 	lo, hi := is*int32(t.dim), ie*int32(t.dim)
 	qt := &t.quant
 	pv := qt.leafPivot[int(n)*t.dim : (int(n)+1)*t.dim]
 	dCent := vec.DistEntry(pv, q.Center)
-	switch tier {
-	case TierF32:
-		return vec.SelectLeafSphereF32(sel, qt.iPivotHi32[is:ie], qt.iSR32[is:ie], dCent,
-			qt.iCen32[lo:hi], q.Center, q.Radius, dk)
-	case TierI8:
-		return vec.SelectLeafSphereI8(sel, qt.iPivotHi32[is:ie], qt.iSR8[is:ie], dCent,
-			qt.iCen8[lo:hi], qt.iScale[n], qt.iOffset[n], q.Center, q.Radius, dk)
-	default:
-		panic("packed: LeafQuantSelect with TierNone")
-	}
-}
-
-// ChildMinDistAt computes the exact mindist of internal node n's i-th
-// child entry — bit-identical to entry i of a ChildMinDists pass. The
-// two-phase traversal calls it for the survivors of the coarse pass.
-func (t *Tree) ChildMinDistAt(n int32, i int32, q geom.Sphere) float64 {
-	e := t.childStart[n] + i
-	lo, hi := e*int32(t.dim), (e+1)*int32(t.dim)
-	if t.kind == KindRect {
-		return vec.MinDistRectEntry(t.cLo[lo:hi], t.cHi[lo:hi], q.Center, q.Radius)
-	}
-	return vec.MinDistSphereEntry(t.cCenters[lo:hi], t.cRadii[e], q.Center, q.Radius)
+	return vec.SelectLeafSphereF32(sel, qt.iPivotHi32[is:ie], qt.iSR32[is:ie], dCent,
+		qt.iCen32[lo:hi], q.Center, q.Radius, dk)
 }
 
 // LeafDistAt computes the exact center distance of leaf n's i-th item —

@@ -8,50 +8,77 @@ import (
 	"hyperdom/internal/geom"
 )
 
-// buildQuantFixture assembles one sphere node + leaf and one rect node over
-// the same n random entries and returns both trees plus the raw geometry.
+// quantFixture holds one leaf of n random items frozen into a sphere tree
+// and a rect tree — the item tier is kind-agnostic, but each kind freezes
+// through its own builder path.
 type quantFixture struct {
 	st, rt       *Tree
-	sNode, sLeaf int32
-	rNode        int32
-	centers      [][]float64
-	radii        []float64
-	lo, hi       [][]float64
+	sLeaf, rLeaf int32
 }
 
 func buildQuantFixture(rng *rand.Rand, dim, n int, spread float64) *quantFixture {
 	fx := &quantFixture{}
 	items := make([]geom.Item, n)
-	for i := 0; i < n; i++ {
+	for i := range items {
 		c := make([]float64, dim)
-		l := make([]float64, dim)
-		h := make([]float64, dim)
-		for j := 0; j < dim; j++ {
+		for j := range c {
 			c[j] = rng.NormFloat64() * spread
-			l[j] = rng.NormFloat64() * spread
-			h[j] = l[j] + math.Abs(rng.NormFloat64()*spread/4)
 		}
-		fx.centers = append(fx.centers, c)
-		fx.radii = append(fx.radii, math.Abs(rng.NormFloat64()*spread/10))
-		fx.lo = append(fx.lo, l)
-		fx.hi = append(fx.hi, h)
-		items[i] = geom.Item{ID: i, Sphere: geom.Sphere{Center: c, Radius: fx.radii[i]}}
+		items[i] = geom.Item{ID: i, Sphere: geom.Sphere{Center: c, Radius: math.Abs(rng.NormFloat64() * spread / 10)}}
 	}
-	sb := NewBuilder(KindSphere, dim)
-	fx.sLeaf = sb.Leaf(items)
-	fx.sNode = sb.InternalSphere(kidsOf(fx.sLeaf, n), fx.centers, fx.radii)
-	fx.st = sb.FinishSphere(fx.sNode, fx.centers[0], fx.radii[0])
-
-	rb := NewBuilder(KindRect, dim)
-	rleaf := rb.Leaf(items)
-	fx.rNode = rb.InternalRect(kidsOf(rleaf, n), fx.lo, fx.hi)
-	fx.rt = rb.FinishRect(fx.rNode, fx.lo[0], fx.hi[0])
+	fx.st, fx.sLeaf = freezeLeaf(KindSphere, dim, items)
+	fx.rt, fx.rLeaf = freezeLeaf(KindRect, dim, items)
 	return fx
 }
 
-// TestQuantBoundsConservative checks bound <= exact per entry over both
-// tiers, kinds and the leaf items, on well-behaved random geometry across
-// several scales (the fuzz target covers the hostile inputs).
+// freezeLeaf freezes items as one leaf under a single-child root of the
+// given kind, with the root bound taken from the first item.
+func freezeLeaf(kind Kind, dim int, items []geom.Item) (*Tree, int32) {
+	b := NewBuilder(kind, dim)
+	leaf := b.Leaf(items)
+	c, r := items[0].Sphere.Center, items[0].Sphere.Radius
+	if kind == KindSphere {
+		node := b.InternalSphere([]int32{leaf}, [][]float64{c}, []float64{r})
+		return b.FinishSphere(node, c, r), leaf
+	}
+	node := b.InternalRect([]int32{leaf}, [][]float64{c}, [][]float64{c})
+	return b.FinishRect(node, c, c), leaf
+}
+
+// itemMinDists returns the exact per-item mindist the traversal prunes on,
+// dist − radius − qr clamped at 0, for every item of leaf n.
+func itemMinDists(tr *Tree, n int32, q geom.Sphere) []float64 {
+	exact := make([]float64, len(tr.LeafItems(n)))
+	tr.LeafDists(n, q.Center, exact)
+	for i, r := range tr.ItemRadii(n) {
+		exact[i] = math.Max(exact[i]-r-q.Radius, 0)
+	}
+	return exact
+}
+
+// leafSelectKept runs LeafQuantSelect and fails the test if it dropped an
+// item whose exact mindist does not exceed dk — the contract the two-phase
+// traversal relies on. It returns which items survived.
+func leafSelectKept(t *testing.T, tr *Tree, n int32, q geom.Sphere, dk float64, exact []float64) []bool {
+	t.Helper()
+	sel := make([]int32, len(exact))
+	kept := make([]bool, len(exact))
+	for _, i := range sel[:tr.LeafQuantSelect(n, q, dk, sel)] {
+		kept[i] = true
+	}
+	for i, e := range exact {
+		if !kept[i] && !(e > dk) {
+			t.Fatalf("item %d dropped but exact mindist %v <= dk %v (dim=%d n=%d)",
+				i, e, dk, tr.Dim(), len(exact))
+		}
+	}
+	return kept
+}
+
+// TestQuantBoundsConservative checks the select contract over both kinds
+// on well-behaved random geometry across several scales, with dk swept
+// through every item's own mindist (the fuzz target covers the hostile
+// inputs).
 func TestQuantBoundsConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, spread := range []float64{1e-6, 1, 1e3, 1e12} {
@@ -64,25 +91,13 @@ func TestQuantBoundsConservative(t *testing.T) {
 				qc[j] = rng.NormFloat64() * spread
 			}
 			q := geom.Sphere{Center: qc, Radius: math.Abs(rng.NormFloat64() * spread / 8)}
-
-			exact := make([]float64, n)
-			bound := make([]float64, n)
-			for _, tier := range []Tier{TierF32, TierI8} {
-				fx.st.ChildMinDists(fx.sNode, q, exact)
-				fx.st.ChildQuantBounds(tier, fx.sNode, q, bound)
-				for i := range bound {
-					if !(bound[i] >= 0) || bound[i] > exact[i] {
-						t.Fatalf("spread=%g tier=%d sphere child %d: bound %v vs exact %v",
-							spread, tier, i, bound[i], exact[i])
-					}
-				}
-				fx.rt.ChildMinDists(fx.rNode, q, exact)
-				fx.rt.ChildQuantBounds(tier, fx.rNode, q, bound)
-				for i := range bound {
-					if !(bound[i] >= 0) || bound[i] > exact[i] {
-						t.Fatalf("spread=%g tier=%d rect child %d: bound %v vs exact %v",
-							spread, tier, i, bound[i], exact[i])
-					}
+			for _, leaf := range []struct {
+				tr *Tree
+				n  int32
+			}{{fx.st, fx.sLeaf}, {fx.rt, fx.rLeaf}} {
+				exact := itemMinDists(leaf.tr, leaf.n, q)
+				for _, dk := range append([]float64{0, q.Radius}, exact...) {
+					leafSelectKept(t, leaf.tr, leaf.n, q, dk, exact)
 				}
 			}
 		}
@@ -90,12 +105,11 @@ func TestQuantBoundsConservative(t *testing.T) {
 }
 
 // TestQuantBoundsTight guards the other half of the design: on
-// well-scaled data the narrow bounds must track the exact mindist closely
-// enough to prune with — all-zero (or grossly slack) bounds would satisfy
+// well-scaled data the float32 tier must track the exact mindist closely
+// enough to prune with — a select that kept everything would satisfy
 // conservatism while silently disabling the coarse filter. f32 carries
-// ~1e-7 relative center error; int8 resolves the node's extent in 254
-// steps, so its bound may undershoot by a few node-diameter LSBs but no
-// more.
+// ~1e-7 relative center error, so every item whose mindist exceeds dk by
+// a relative 1e-5 must be dropped.
 func TestQuantBoundsTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	dim, n := 6, 8
@@ -105,44 +119,22 @@ func TestQuantBoundsTight(t *testing.T) {
 		qc[j] = rng.NormFloat64()*100 + 500 // far query: mindists well above 0
 	}
 	q := geom.Sphere{Center: qc, Radius: 1}
-
-	exact := make([]float64, n)
-	bound := make([]float64, n)
-	fx.st.ChildMinDists(fx.sNode, q, exact)
-
-	fx.st.ChildQuantBounds(TierF32, fx.sNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]*(1-1e-5) {
-			t.Fatalf("f32 sphere bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
-		}
-	}
-	// int8: node extent is a few hundred units, 254 steps → LSB ~ a few
-	// units; center displacement across dim coords stays within ~3 LSB
-	// plus the radius LSB.
-	fx.st.ChildQuantBounds(TierI8, fx.sNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]-40 {
-			t.Fatalf("i8 sphere bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
-		}
-	}
-
-	fx.rt.ChildMinDists(fx.rNode, q, exact)
-	fx.rt.ChildQuantBounds(TierF32, fx.rNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]*(1-1e-5) {
-			t.Fatalf("f32 rect bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
-		}
-	}
-	fx.rt.ChildQuantBounds(TierI8, fx.rNode, q, bound)
-	for i := range bound {
-		if bound[i] < exact[i]-40 {
-			t.Fatalf("i8 rect bound %d too loose: %v vs exact %v", i, bound[i], exact[i])
+	for _, leaf := range []struct {
+		kind string
+		tr   *Tree
+		n    int32
+	}{{"sphere", fx.st, fx.sLeaf}, {"rect", fx.rt, fx.rLeaf}} {
+		exact := itemMinDists(leaf.tr, leaf.n, q)
+		for i, e := range exact {
+			if kept := leafSelectKept(t, leaf.tr, leaf.n, q, e*(1-1e-5), exact); kept[i] {
+				t.Fatalf("%s item %d kept at dk %v, exact mindist %v", leaf.kind, i, e*(1-1e-5), e)
+			}
 		}
 	}
 }
 
-// TestQuantEntryAccessors: the per-survivor exact fallbacks must equal the
-// streaming kernels bit for bit.
+// TestQuantEntryAccessors: the per-survivor exact fallback must equal the
+// streaming kernel bit for bit.
 func TestQuantEntryAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	dim, n := 5, 7
@@ -151,21 +143,7 @@ func TestQuantEntryAccessors(t *testing.T) {
 	for j := range qc {
 		qc[j] = rng.NormFloat64() * 10
 	}
-	q := geom.Sphere{Center: qc, Radius: 0.5}
-
 	dst := make([]float64, n)
-	fx.st.ChildMinDists(fx.sNode, q, dst)
-	for i := 0; i < n; i++ {
-		if got := fx.st.ChildMinDistAt(fx.sNode, int32(i), q); math.Float64bits(got) != math.Float64bits(dst[i]) {
-			t.Fatalf("sphere ChildMinDistAt(%d) = %v, block %v", i, got, dst[i])
-		}
-	}
-	fx.rt.ChildMinDists(fx.rNode, q, dst)
-	for i := 0; i < n; i++ {
-		if got := fx.rt.ChildMinDistAt(fx.rNode, int32(i), q); math.Float64bits(got) != math.Float64bits(dst[i]) {
-			t.Fatalf("rect ChildMinDistAt(%d) = %v, block %v", i, got, dst[i])
-		}
-	}
 	fx.st.LeafDists(fx.sLeaf, qc, dst)
 	for i := 0; i < n; i++ {
 		if got := fx.st.LeafDistAt(fx.sLeaf, int32(i), qc); math.Float64bits(got) != math.Float64bits(dst[i]) {

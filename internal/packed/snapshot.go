@@ -6,11 +6,11 @@
 // in little-endian order:
 //
 //	[0,  8)  magic "HDSNAPLE" (the trailing LE doubles as the byte-order mark)
-//	[8, 12)  format version (u32, currently 1)
+//	[8, 12)  format version (u32, currently 2)
 //	[12,16)  header CRC-32C over [0, hdrLen) with this field zeroed
 //	[16,20)  hdrLen: fixed fields + section table, the CRC-covered prefix
 //	[20,40)  dim, nodes, children, items (u32 each), root (i32)
-//	[40,44)  kind, substrate, tiers, flags (u8 each)
+//	[40,44)  kind, substrate, tiers (coarse-tier mask, 1 = f32), flags (u8 each)
 //	[44,48)  section count (u32)
 //	[48,72)  rootRadius, slackRel, pivotRel (f64 bits each)
 //	[72, ..) section table: {id u32, CRC-32C u32, off u64, len u64} ascending
@@ -53,8 +53,10 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// FormatVersion is the snapshot format this build writes and reads.
-const FormatVersion = 1
+// FormatVersion is the snapshot format this build writes and reads. A file
+// of any other version fails with ErrBadVersion and is re-minted by
+// re-freezing.
+const FormatVersion = 2
 
 const (
 	magicLE = "HDSNAPLE"
@@ -64,11 +66,9 @@ const (
 	secEntryLen = 24
 	secAlign    = 64
 
-	// tiersBoth: both narrow tiers (f32 | i8) are present. v1 snapshots
-	// always carry both — buildQuant constructs them unconditionally.
-	tiersF32  = 1
-	tiersI8   = 2
-	tiersBoth = tiersF32 | tiersI8
+	// tiersF32: the float32 item tier is present. buildQuant always
+	// constructs it, so it is the only mask a v2 file may carry.
+	tiersF32 = 1
 
 	// Freeze-time conservatism margins stamped into the header: the
 	// relative slack inflation of slackMargin and the relative pivot
@@ -174,33 +174,10 @@ const (
 	secRootCenter
 	secRootLo
 	secRootHi
-	secQCCen32
-	secQCRad32
-	secQCSlack32
-	secQCLo32
-	secQCHi32
-	secQCCen8
-	secQCRad8
-	secQCSlack8
-	secQCLo8
-	secQCHi8
-	secQCRectSlack8
-	secQCScale
-	secQCOffset
-	secQCRScale
 	secQICen32
-	secQIRad32
-	secQISlack32
-	secQICen8
-	secQIRad8
-	secQISlack8
-	secQIScale
-	secQIOffset
-	secQIRScale
 	secLeafPivot
 	secIPivotHi32
 	secISR32
-	secISR8
 )
 
 // secSpec is one section's contract: element width and the exact element
@@ -240,33 +217,10 @@ func secSpecs(kind Kind, dim, nodes, children, items int64, root int32) []secSpe
 		{secRootCenter, 8, sel(sphere, rootN)},
 		{secRootLo, 8, sel(rect, rootN)},
 		{secRootHi, 8, sel(rect, rootN)},
-		{secQCCen32, 4, sel(sphere, children*dim)},
-		{secQCRad32, 4, sel(sphere, children)},
-		{secQCSlack32, 4, sel(sphere, children)},
-		{secQCLo32, 4, sel(rect, children*dim)},
-		{secQCHi32, 4, sel(rect, children*dim)},
-		{secQCCen8, 1, sel(sphere, children*dim)},
-		{secQCRad8, 1, sel(sphere, children)},
-		{secQCSlack8, 4, sel(sphere, children)},
-		{secQCLo8, 1, sel(rect, children*dim)},
-		{secQCHi8, 1, sel(rect, children*dim)},
-		{secQCRectSlack8, 4, sel(rect, children)},
-		{secQCScale, 8, nodes},
-		{secQCOffset, 8, nodes},
-		{secQCRScale, 8, sel(sphere, nodes)},
 		{secQICen32, 4, items * dim},
-		{secQIRad32, 4, items},
-		{secQISlack32, 4, items},
-		{secQICen8, 1, items * dim},
-		{secQIRad8, 1, items},
-		{secQISlack8, 4, items},
-		{secQIScale, 8, nodes},
-		{secQIOffset, 8, nodes},
-		{secQIRScale, 8, nodes},
 		{secLeafPivot, 8, nodes * dim},
 		{secIPivotHi32, 4, items},
 		{secISR32, 4, items},
-		{secISR8, 4, items},
 	}
 }
 
@@ -282,7 +236,7 @@ var hostLE = func() bool {
 // because []bool is one 0/1 byte per element in Go's ABI — the leaf
 // section validates every byte before casting back.
 type word interface {
-	~int8 | ~uint8 | ~bool | ~int32 | ~float32 | ~int64 | ~float64
+	~bool | ~int32 | ~float32 | ~int64 | ~float64
 }
 
 // rawBytes returns the in-memory bytes of s without copying.
@@ -378,65 +332,19 @@ func (t *Tree) secData(id uint32) []byte {
 		return leBytes(t.rootLo)
 	case secRootHi:
 		return leBytes(t.rootHi)
-	case secQCCen32:
-		return leBytes(q.cCen32)
-	case secQCRad32:
-		return leBytes(q.cRad32)
-	case secQCSlack32:
-		return leBytes(q.cSlack32)
-	case secQCLo32:
-		return leBytes(q.cLo32)
-	case secQCHi32:
-		return leBytes(q.cHi32)
-	case secQCCen8:
-		return rawBytes(q.cCen8)
-	case secQCRad8:
-		return rawBytes(q.cRad8)
-	case secQCSlack8:
-		return leBytes(q.cSlack8)
-	case secQCLo8:
-		return rawBytes(q.cLo8)
-	case secQCHi8:
-		return rawBytes(q.cHi8)
-	case secQCRectSlack8:
-		return leBytes(q.cRectSlack8)
-	case secQCScale:
-		return leBytes(q.cScale)
-	case secQCOffset:
-		return leBytes(q.cOffset)
-	case secQCRScale:
-		return leBytes(q.cRScale)
 	case secQICen32:
 		return leBytes(q.iCen32)
-	case secQIRad32:
-		return leBytes(q.iRad32)
-	case secQISlack32:
-		return leBytes(q.iSlack32)
-	case secQICen8:
-		return rawBytes(q.iCen8)
-	case secQIRad8:
-		return rawBytes(q.iRad8)
-	case secQISlack8:
-		return leBytes(q.iSlack8)
-	case secQIScale:
-		return leBytes(q.iScale)
-	case secQIOffset:
-		return leBytes(q.iOffset)
-	case secQIRScale:
-		return leBytes(q.iRScale)
 	case secLeafPivot:
 		return leBytes(q.leafPivot)
 	case secIPivotHi32:
 		return leBytes(q.iPivotHi32)
 	case secISR32:
 		return leBytes(q.iSR32)
-	case secISR8:
-		return leBytes(q.iSR8)
 	}
 	panic(fmt.Sprintf("packed: unknown section id %d", id))
 }
 
-// WriteTo serializes the snapshot in format v1 and reports the bytes
+// WriteTo serializes the snapshot in format v2 and reports the bytes
 // written. It implements io.WriterTo; durability (atomic replace, fsync)
 // is Save's job — WriteTo only streams bytes.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
@@ -469,7 +377,7 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	le.PutUint32(hdr[36:], uint32(t.root))
 	hdr[40] = byte(t.kind)
 	hdr[41] = byte(t.substrate)
-	hdr[42] = tiersBoth
+	hdr[42] = tiersF32
 	hdr[43] = 0 // flags, reserved
 	le.PutUint32(hdr[44:], uint32(len(secs)))
 	le.PutUint64(hdr[48:], math.Float64bits(t.rootRadius))

@@ -88,9 +88,9 @@ func parseHeader(data []byte) (*header, error) {
 	if h.substrate > SubstrateRTree {
 		return nil, fmt.Errorf("%w: unknown substrate %d", ErrCorrupt, data[41])
 	}
-	if tiers := data[42]; tiers != tiersBoth {
-		return nil, fmt.Errorf("%w: quant tier mask %#x, this build serves snapshots carrying both tiers (%#x) — re-freeze with a matching build",
-			ErrIncompatible, tiers, tiersBoth)
+	if tiers := data[42]; tiers != tiersF32 {
+		return nil, fmt.Errorf("%w: quant tier mask %#x, this build serves snapshots carrying the f32 tier (%#x) — re-freeze with a matching build",
+			ErrIncompatible, tiers, tiersF32)
 	}
 	if flags := data[43]; flags != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x — written by a newer build; upgrade this reader or re-freeze", ErrIncompatible, flags)
@@ -226,60 +226,14 @@ func decodeTree(data []byte, zeroCopy, verify bool) (*Tree, error) {
 			t.rootLo = decodeSlice[float64](b, zeroCopy)
 		case secRootHi:
 			t.rootHi = decodeSlice[float64](b, zeroCopy)
-		case secQCCen32:
-			q.cCen32 = decodeSlice[float32](b, zeroCopy)
-		case secQCRad32:
-			q.cRad32 = decodeSlice[float32](b, zeroCopy)
-		case secQCSlack32:
-			q.cSlack32 = decodeSlice[float32](b, zeroCopy)
-		case secQCLo32:
-			q.cLo32 = decodeSlice[float32](b, zeroCopy)
-		case secQCHi32:
-			q.cHi32 = decodeSlice[float32](b, zeroCopy)
-		case secQCCen8:
-			q.cCen8 = decodeSlice[int8](b, zeroCopy)
-		case secQCRad8:
-			q.cRad8 = decodeSlice[uint8](b, zeroCopy)
-		case secQCSlack8:
-			q.cSlack8 = decodeSlice[float32](b, zeroCopy)
-		case secQCLo8:
-			q.cLo8 = decodeSlice[int8](b, zeroCopy)
-		case secQCHi8:
-			q.cHi8 = decodeSlice[int8](b, zeroCopy)
-		case secQCRectSlack8:
-			q.cRectSlack8 = decodeSlice[float32](b, zeroCopy)
-		case secQCScale:
-			q.cScale = decodeSlice[float64](b, zeroCopy)
-		case secQCOffset:
-			q.cOffset = decodeSlice[float64](b, zeroCopy)
-		case secQCRScale:
-			q.cRScale = decodeSlice[float64](b, zeroCopy)
 		case secQICen32:
 			q.iCen32 = decodeSlice[float32](b, zeroCopy)
-		case secQIRad32:
-			q.iRad32 = decodeSlice[float32](b, zeroCopy)
-		case secQISlack32:
-			q.iSlack32 = decodeSlice[float32](b, zeroCopy)
-		case secQICen8:
-			q.iCen8 = decodeSlice[int8](b, zeroCopy)
-		case secQIRad8:
-			q.iRad8 = decodeSlice[uint8](b, zeroCopy)
-		case secQISlack8:
-			q.iSlack8 = decodeSlice[float32](b, zeroCopy)
-		case secQIScale:
-			q.iScale = decodeSlice[float64](b, zeroCopy)
-		case secQIOffset:
-			q.iOffset = decodeSlice[float64](b, zeroCopy)
-		case secQIRScale:
-			q.iRScale = decodeSlice[float64](b, zeroCopy)
 		case secLeafPivot:
 			q.leafPivot = decodeSlice[float64](b, zeroCopy)
 		case secIPivotHi32:
 			q.iPivotHi32 = decodeSlice[float32](b, zeroCopy)
 		case secISR32:
 			q.iSR32 = decodeSlice[float32](b, zeroCopy)
-		case secISR8:
-			q.iSR8 = decodeSlice[float32](b, zeroCopy)
 		}
 	}
 	if len(sections) > 0 {

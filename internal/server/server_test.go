@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +100,36 @@ func TestKNNEndpointMatchesOracle(t *testing.T) {
 		if got.K != k || len(got.Items) != len(got.IDs) {
 			t.Fatalf("query %d: malformed response %+v", q, got)
 		}
+	}
+}
+
+// TestKNNHugeKServed: a k far beyond the collection size is a valid
+// request — the answer is every candidate — so it must come back 200 and
+// leave the server serving, not exhaust memory sizing buffers by k.
+func TestKNNHugeKServed(t *testing.T) {
+	const d, n = 4, 200
+	_, ts := testServer(t, testCorpus(t, d, n), d)
+	url := ts.URL + "/v1/collections/default/knn"
+	huge := map[string]any{"center": []float64{100, 100, 100, 100}, "radius": 1, "k": 100000000000}
+	normal := map[string]any{"center": []float64{100, 100, 100, 100}, "radius": 1, "k": n}
+	var got, want struct {
+		IDs []int `json:"ids"`
+	}
+	for _, c := range []struct {
+		body any
+		dst  any
+	}{{huge, &got}, {normal, &want}} {
+		resp := postJSON(t, url, c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d for %v", resp.StatusCode, c.body)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(c.dst); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	if len(got.IDs) == 0 || !slices.Equal(got.IDs, want.IDs) {
+		t.Fatalf("huge k answered %v, k = n answered %v", got.IDs, want.IDs)
 	}
 }
 

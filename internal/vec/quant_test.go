@@ -6,51 +6,27 @@ import (
 	"testing"
 )
 
-// TestEntryHelpersMatchBlocks locks the per-entry exact fallbacks to their
-// block kernels bit for bit — the two-phase traversal mixes both on one
-// node, so any divergence would break the packed-vs-pointer equality.
+// TestEntryHelpersMatchBlocks locks the per-entry exact fallback to its
+// block kernel bit for bit — the two-phase traversal mixes both on one
+// leaf, so any divergence would break the packed-vs-pointer equality.
 func TestEntryHelpersMatchBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 200; trial++ {
 		d := 1 + rng.Intn(12)
 		n := 1 + rng.Intn(9)
 		centers := make([]float64, n*d)
-		radii := make([]float64, n)
-		lo := make([]float64, n*d)
-		hi := make([]float64, n*d)
 		q := make([]float64, d)
 		for i := range centers {
 			centers[i] = rng.NormFloat64() * 50
-			lo[i] = rng.NormFloat64() * 50
-			hi[i] = lo[i] + math.Abs(rng.NormFloat64()*20)
-		}
-		for i := range radii {
-			radii[i] = math.Abs(rng.NormFloat64() * 5)
 		}
 		for j := range q {
 			q[j] = rng.NormFloat64() * 50
 		}
 		if trial%7 == 0 { // non-finite poke
 			centers[rng.Intn(len(centers))] = math.NaN()
-			lo[rng.Intn(len(lo))] = math.Inf(-1)
 		}
-		qr := math.Abs(rng.NormFloat64() * 3)
 
 		dst := make([]float64, n)
-		MinDistSphereBlock(dst, centers, radii, q, qr)
-		for i := 0; i < n; i++ {
-			got := MinDistSphereEntry(centers[i*d:(i+1)*d], radii[i], q, qr)
-			if math.Float64bits(got) != math.Float64bits(dst[i]) {
-				t.Fatalf("trial %d: MinDistSphereEntry[%d] = %v, block %v", trial, i, got, dst[i])
-			}
-		}
-		MinDistRectBlock(dst, lo, hi, q, qr)
-		for i := 0; i < n; i++ {
-			got := MinDistRectEntry(lo[i*d:(i+1)*d], hi[i*d:(i+1)*d], q, qr)
-			if math.Float64bits(got) != math.Float64bits(dst[i]) {
-				t.Fatalf("trial %d: MinDistRectEntry[%d] = %v, block %v", trial, i, got, dst[i])
-			}
-		}
 		DistBlock(dst, centers, q)
 		for i := 0; i < n; i++ {
 			got := DistEntry(centers[i*d:(i+1)*d], q)
@@ -61,10 +37,21 @@ func TestEntryHelpersMatchBlocks(t *testing.T) {
 	}
 }
 
-// TestQuantKernelsConservative drives the narrow kernels directly with
-// exactly-representable float32 data and zero slack: the bound must then
-// sit within the lbEps shave of the exact kernel, never above it — the
-// kernels' own arithmetic is the only error source in this setup.
+// f32Up32 rounds x up to the nearest float32 (test-local twin of the
+// packed builder's helper).
+func f32Up32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// TestQuantKernelsConservative drives the leaf select kernel directly with
+// exactly-representable float32 centers and radii and zero slack, so the
+// kernel's own arithmetic is the only error source: every dropped entry
+// must have exact mindist > dk, and every entry whose mindist clears dk by
+// a relative 1e-6 of its center distance must be dropped.
 func TestQuantKernelsConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 200; trial++ {
@@ -72,82 +59,80 @@ func TestQuantKernelsConservative(t *testing.T) {
 		n := 1 + rng.Intn(8)
 		cen64 := make([]float64, n*d)
 		cen32 := make([]float32, n*d)
-		rad64 := make([]float64, n)
-		rad32 := make([]float32, n)
-		slack := make([]float32, n)
-		lo64 := make([]float64, n*d)
-		hi64 := make([]float64, n*d)
-		lo32 := make([]float32, n*d)
-		hi32 := make([]float32, n*d)
+		rad := make([]float64, n)
+		sr := make([]float32, n)
+		pd := make([]float32, n)
+		pivot := make([]float64, d)
 		q := make([]float64, d)
 		for i := range cen64 {
 			cen32[i] = float32(rng.NormFloat64() * 40)
 			cen64[i] = float64(cen32[i])
-			lo32[i] = float32(rng.NormFloat64() * 40)
-			lo64[i] = float64(lo32[i])
-			hi32[i] = lo32[i] + float32(math.Abs(rng.NormFloat64()*15))
-			hi64[i] = float64(hi32[i])
+			pivot[i%d] += cen64[i] / float64(n)
 		}
-		for i := range rad64 {
-			rad32[i] = float32(math.Abs(rng.NormFloat64() * 4))
-			rad64[i] = float64(rad32[i])
+		for i := range rad {
+			sr[i] = float32(math.Abs(rng.NormFloat64() * 4))
+			rad[i] = float64(sr[i])
+			pd[i] = f32Up32((DistEntry(pivot, cen64[i*d:(i+1)*d]) + rad[i]) * (1 + 1e-9))
 		}
 		for j := range q {
 			q[j] = rng.NormFloat64() * 40
 		}
 		qr := math.Abs(rng.NormFloat64() * 2)
+		dCent := DistEntry(pivot, q)
 
 		exact := make([]float64, n)
-		bound := make([]float64, n)
-		MinDistSphereBlock(exact, cen64, rad64, q, qr)
-		MinDistSphereBlockF32(bound, cen32, rad32, slack, q, qr)
-		for i := range bound {
-			if bound[i] > exact[i] {
-				t.Fatalf("trial %d sphere f32: bound %v > exact %v", trial, bound[i], exact[i])
-			}
-			if exact[i] > 0 && bound[i] < exact[i]*(1-1e-6) {
-				t.Fatalf("trial %d sphere f32: bound %v too loose vs exact %v", trial, bound[i], exact[i])
-			}
+		dist := make([]float64, n)
+		DistBlock(dist, cen64, q)
+		for i := range exact {
+			exact[i] = math.Max(dist[i]-rad[i]-qr, 0)
 		}
-		MinDistRectBlock(exact, lo64, hi64, q, qr)
-		MinDistRectBlockF32(bound, lo32, hi32, q, qr)
-		for i := range bound {
-			if bound[i] > exact[i] {
-				t.Fatalf("trial %d rect f32: bound %v > exact %v", trial, bound[i], exact[i])
+		sel := make([]int32, n)
+		for _, dk := range append([]float64{0, qr}, exact...) {
+			cnt := SelectLeafSphereF32(sel, pd, sr, dCent, cen32, q, qr, dk)
+			kept := make([]bool, n)
+			for _, i := range sel[:cnt] {
+				kept[i] = true
 			}
-			if exact[i] > 0 && bound[i] < exact[i]*(1-1e-6) {
-				t.Fatalf("trial %d rect f32: bound %v too loose vs exact %v", trial, bound[i], exact[i])
+			for i := range exact {
+				if !kept[i] && !(exact[i] > dk) {
+					t.Fatalf("trial %d: entry %d dropped with exact mindist %v <= dk %v", trial, i, exact[i], dk)
+				}
+				if kept[i] && exact[i]-dk > 1e-6*dist[i] {
+					t.Fatalf("trial %d: entry %d kept with exact mindist %v well above dk %v", trial, i, exact[i], dk)
+				}
 			}
 		}
 	}
 }
 
-// TestQuantKernelClamp: degenerate narrow inputs (NaN slack, Inf radius,
-// overflowed center) must produce the never-prunes bound 0, not NaN/Inf.
+// TestQuantKernelClamp: degenerate narrow inputs (NaN center, infinite or
+// NaN threshold sum, NaN pivot distance) must never prune — the entry
+// survives and the exact path decides.
 func TestQuantKernelClamp(t *testing.T) {
 	q := []float64{1, 2}
-	dst := make([]float64, 1)
+	sel := make([]int32, 1)
 	nan32 := float32(math.NaN())
 	inf32 := float32(math.Inf(1))
+	nan := math.NaN()
+	far := []float32{100, 100}
 
-	MinDistSphereBlockF32(dst, []float32{nan32, 0}, []float32{0}, []float32{0}, q, 0)
-	if dst[0] != 0 {
-		t.Fatalf("NaN center: bound %v, want 0", dst[0])
+	if n := SelectLeafSphereF32(sel, []float32{nan32}, []float32{0}, nan, far, q, 0, 1); n != 0 {
+		t.Fatalf("far entry with exact data survived the refine: %d", n)
 	}
-	MinDistSphereBlockF32(dst, []float32{1e30, 1e30}, []float32{inf32}, []float32{0}, q, 0)
-	if dst[0] != 0 {
-		t.Fatalf("Inf radius: bound %v, want 0", dst[0])
+	cases := []struct {
+		name   string
+		pd, sr float32
+		dCent  float64
+		center []float32
+	}{
+		{"NaN center", nan32, 0, nan, []float32{nan32, 0}},
+		{"Inf threshold", nan32, inf32, nan, far},
+		{"NaN threshold", nan32, nan32, nan, far},
+		{"NaN pivot distance", 0, 0, nan, []float32{1, 2}},
 	}
-	MinDistSphereBlockF32(dst, []float32{100, 100}, []float32{0}, []float32{nan32}, q, 0)
-	if dst[0] != 0 {
-		t.Fatalf("NaN slack: bound %v, want 0", dst[0])
-	}
-	MinDistSphereBlockI8(dst, []int8{127, 127}, math.Inf(1), 0, []uint8{0}, 0, []float32{inf32}, q, 0)
-	if dst[0] != 0 {
-		t.Fatalf("Inf scale: bound %v, want 0", dst[0])
-	}
-	MinDistRectBlockI8(dst, []int8{-127, -127}, []int8{127, 127}, 1, 0, []float32{nan32}, q, 0)
-	if dst[0] != 0 {
-		t.Fatalf("NaN rect slack: bound %v, want 0", dst[0])
+	for _, c := range cases {
+		if n := SelectLeafSphereF32(sel, []float32{c.pd}, []float32{c.sr}, c.dCent, c.center, q, 0, 1); n != 1 {
+			t.Fatalf("%s: entry dropped, want kept", c.name)
+		}
 	}
 }
