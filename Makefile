@@ -69,7 +69,7 @@ experiments:
 	$(GO) run ./cmd/knnbench -fig 17 -scale 0.05
 
 # Run the kNN figures with counters enabled and the observability server
-# up for local profiling: /metrics, /debug/slow and /debug/pprof stay
+# up for local profiling: /metrics, /debug/requests and /debug/pprof stay
 # served on :6060 after the figures finish, until Ctrl-C.
 serve:
 	$(GO) run ./cmd/knnbench -serve :6060 -metrics

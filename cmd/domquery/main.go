@@ -14,7 +14,7 @@
 // distance margin certifies the failure.
 //
 // The shared observability flags are available too: `domquery -serve :6060`
-// answers the query and then keeps serving /metrics, /debug/slow and
+// answers the query and then keeps serving /metrics, /debug/requests and
 // /debug/pprof until interrupted, so the criterion counters the query moved
 // can be inspected. With `-trace out.json` the query's criterion-by-
 // criterion evaluation is recorded as an execution trace — one DomCheck
@@ -132,14 +132,18 @@ func run(r io.Reader, w io.Writer, tb *obs.TraceBuf) error {
 			}
 		}
 		lat := time.Since(start).Nanoseconds()
-		qt := tb.Finish(obs.FlightLabel("domquery"), obs.FlightLabel("criteria"), 0, start.UnixNano(), lat)
-		obs.Flight.Record(obs.FlightSample{
+		obs.Requests.RecordSearch(obs.Request{
+			Endpoint:   "domquery",
 			WhenUnixNs: start.UnixNano(),
 			LatencyNs:  lat,
-			Substrate:  qt.Substrate,
-			Algo:       qt.Algo,
-			DomChecks:  uint64(len(res.Verdicts)),
-			Trace:      qt,
+		}, obs.ShardSpan{
+			Substrate:      "domquery",
+			Algo:           "criteria",
+			LatencyNs:      lat,
+			DomChecks:      len(res.Verdicts),
+			BoundObserved:  obs.NoBound,
+			BoundPublished: obs.NoBound,
+			Trace:          tb.Finish(lat),
 		})
 	}
 	if !res.Dominates {

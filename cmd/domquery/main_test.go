@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"hyperdom/internal/obs"
 )
 
 func evalQuery(t *testing.T, input string) resultJSON {
@@ -72,5 +74,34 @@ func TestRunRejectsBadInput(t *testing.T) {
 		if err := run(strings.NewReader(input), &out, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestRunTracedRecordsRoot checks a traced check is recorded as one
+// domquery root whose span carries the execution trace: one DomCheck event
+// per criterion.
+func TestRunTracedRecordsRoot(t *testing.T) {
+	obs.Requests.Reset()
+	defer obs.Requests.Reset()
+	var out bytes.Buffer
+	err := run(strings.NewReader(`{
+		"sa": {"center": [0, 0], "radius": 1},
+		"sb": {"center": [9, 0], "radius": 1},
+		"sq": {"center": [-4, 0], "radius": 2}
+	}`), &out, &obs.TraceBuf{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res resultJSON
+	if err := json.Unmarshal(out.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	dump := obs.Requests.Dump()
+	if len(dump) != 1 || dump[0].Endpoint != "domquery" || len(dump[0].Shards) != 1 {
+		t.Fatalf("want one domquery root with one span, got %+v", dump)
+	}
+	sp := dump[0].Shards[0]
+	if sp.Trace == nil || sp.Trace.CountKind(obs.SpanDomCheck) != len(res.Verdicts) || sp.DomChecks != len(res.Verdicts) {
+		t.Fatalf("span %+v does not carry one DomCheck per criterion (%d)", sp, len(res.Verdicts))
 	}
 }

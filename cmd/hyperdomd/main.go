@@ -275,6 +275,39 @@ func mountCollection(c config, name string, corpus func() ([]geom.Item, int, err
 	return x, nil
 }
 
+// HTTP server timeouts. A kNN request is a small JSON body answered in
+// milliseconds (the widest benchmark workload's p99 is a few ms), so each
+// bound sits far above legitimate traffic and only cuts off stalled or
+// hostile connections.
+const (
+	// readHeaderTimeout bounds slow-header (slowloris) connections; a real
+	// client sends its headers in one packet.
+	readHeaderTimeout = 5 * time.Second
+	// readTimeout bounds the whole request read: the largest accepted body
+	// (1 MiB) arrives well within it even at 50 KB/s.
+	readTimeout = 30 * time.Second
+	// writeTimeout bounds handler plus response write. It must exceed the
+	// default 30 s /debug/pprof/profile capture, the slowest legitimate
+	// handler the mux serves.
+	writeTimeout = 60 * time.Second
+	// idleTimeout closes keep-alive connections idle this long, bounding
+	// the descriptors parked clients hold.
+	idleTimeout = 120 * time.Second
+)
+
+// newHTTPServer builds hyperdomd's HTTP server for h with the timeouts
+// above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(c config) error {
 	obs.SetEnabled(true)
 	obs.SetGauge("build_info",
@@ -305,7 +338,7 @@ func run(c config) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(c.addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

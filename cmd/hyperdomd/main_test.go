@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"hyperdom/internal/dataset"
 	"hyperdom/internal/knn"
@@ -104,5 +106,26 @@ func TestOracleRoundTrip(t *testing.T) {
 	}
 	if len(got.IDs) < 5 {
 		t.Fatalf("oracle returned %d ids: %v", len(got.IDs), got.IDs)
+	}
+}
+
+// TestHTTPServerTimeouts checks every server timeout is set, and that
+// WriteTimeout sits far above the slowest benchmark request (wide-d4's p99
+// is a few ms) and above the default 30 s pprof CPU profile.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(":0", http.NotFoundHandler())
+	for name, d := range map[string]time.Duration{
+		"ReadHeaderTimeout": s.ReadHeaderTimeout,
+		"ReadTimeout":       s.ReadTimeout,
+		"WriteTimeout":      s.WriteTimeout,
+		"IdleTimeout":       s.IdleTimeout,
+	} {
+		if d <= 0 {
+			t.Errorf("%s = %v, want > 0", name, d)
+		}
+	}
+	const widestBenchP99 = 10 * time.Millisecond
+	if s.WriteTimeout < 1000*widestBenchP99 || s.WriteTimeout <= 30*time.Second {
+		t.Errorf("WriteTimeout = %v, want ≥ %v and > 30s", s.WriteTimeout, 1000*widestBenchP99)
 	}
 }

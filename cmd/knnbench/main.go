@@ -30,9 +30,9 @@
 // The shared observability flags apply as well; in particular
 // `-trace out.json` samples every `-trace-every`-th search (default 16,
 // matching README "Tracing a slow query") for execution tracing and
-// exports the retained traces — tagged with the trace_id that /debug/slow
-// flight records carry — as Chrome trace_event JSON on exit (DESIGN.md
-// §10).
+// exports the slowest retained searches — each with its sampled execution
+// trace nested under its span, the same export /debug/requests serves — as
+// Chrome trace_event JSON on exit (DESIGN.md §9).
 package main
 
 import (

@@ -191,7 +191,7 @@ func TestEngineObs(t *testing.T) {
 		t.Errorf("engine.queue_wait samples = %d, want %d", hist.Count, wantSubmitted)
 	}
 	// The engine routes through knn.Search, so the per-search accounting
-	// (counters, latency histograms, flight recorder) keeps working.
+	// (counters, latency histograms, the Requests ring) keeps working.
 	if got := snap.Get("knn.searches"); got != wantSubmitted {
 		t.Errorf("knn.searches = %d, want %d", got, wantSubmitted)
 	}

@@ -59,9 +59,9 @@ type CandidateSet struct {
 	// published into ext (Lemma 9: a k-th-smallest over a subset, hence
 	// ≥ the final global distK). +Inf when fewer than k items were seen.
 	BoundPublished float64
-	// TraceID links to this traversal's retained execution trace in
-	// /debug/trace when it was sampled, 0 otherwise.
-	TraceID uint64
+	// Trace is this traversal's execution trace when it was sampled, nil
+	// otherwise; the scatter-gather layer hangs it on the shard's span.
+	Trace *obs.QueryTrace
 }
 
 // SearchCandidates runs the kNN traversal and returns the surviving
@@ -100,7 +100,7 @@ func (sc *scratch) searchCandidates(idx Index, sq geom.Sphere, k int, crit domin
 		cs.BoundObserved = ext.Load()
 	}
 	if obs.On() {
-		cs.TraceID = sc.flushObs(idx, algo, k, start, &cs.Stats)
+		cs.Trace = sc.flushObs(idx, algo, start, &cs.Stats).Trace
 	}
 	return cs
 }

@@ -90,17 +90,7 @@ func BruteForce(items []Item, sq geom.Sphere, k int, crit dominance.Criterion) R
 			if !start.IsZero() {
 				lat := time.Since(start).Nanoseconds()
 				bruteLatency.Record(lat)
-				obs.Flight.Record(obs.FlightSample{
-					WhenUnixNs: start.UnixNano(),
-					LatencyNs:  lat,
-					Substrate:  flightBrute,
-					Algo:       flightScan,
-					K:          k,
-					Nodes:      uint64(res.Stats.NodesVisited),
-					Items:      uint64(res.Stats.Items),
-					DomChecks:  uint64(res.Stats.DomChecks),
-					Pruned:     uint64(res.Stats.Pruned),
-				})
+				recordSearch("knn.BruteForce", k, start, searchSpan("brute", "scan", lat, &res.Stats))
 			}
 		}
 	}()

@@ -47,8 +47,8 @@ var (
 	obsQuantItemExact  = obs.New("packed.quant.item_exact_fallbacks")
 )
 
-// substrate indexes the per-substrate latency histograms and flight-record
-// labels. It mirrors the adapter type switch in flushObs.
+// substrate indexes the per-substrate latency histograms and span labels.
+// It mirrors the adapter type switch in flushObs.
 type substrate uint8
 
 const (
@@ -68,23 +68,15 @@ var substrateNames = [numSubstrates]string{"sstree", "mtree", "rtree", "other"}
 var (
 	searchLatency [numSubstrates][2]*obs.Histogram
 	bruteLatency  = obs.NewHistogram("knn.search_latency", `substrate="brute",algo="scan"`)
-
-	flightSub   [numSubstrates]obs.LabelID
-	flightAlgo  [2]obs.LabelID
-	flightBrute = obs.FlightLabel("brute")
-	flightScan  = obs.FlightLabel("scan")
 )
 
 func init() {
 	for s := substrate(0); s < numSubstrates; s++ {
-		flightSub[s] = obs.FlightLabel(substrateNames[s])
 		for _, a := range []Algorithm{DF, HS} {
 			searchLatency[s][a] = obs.NewHistogram("knn.search_latency",
 				fmt.Sprintf("substrate=%q,algo=%q", substrateNames[s], a.String()))
 		}
 	}
-	flightAlgo[DF] = obs.FlightLabel(DF.String())
-	flightAlgo[HS] = obs.FlightLabel(HS.String())
 }
 
 // flushStats adds one query's Stats to the global counters.
@@ -97,15 +89,15 @@ func flushStats(st *Stats) {
 }
 
 // flushObs drains one finished search into the global counters, records
-// its latency into the (substrate, strategy) histogram, offers it to the
-// flight recorder, and zeroes the scratch-local tallies. Called once per
-// search when the obs gate is on; the scratch tallies still accumulate
-// (cheaply) when it is off, so they are also zeroed here to keep a later
-// snapshot from attributing old work to a new window. The return value is
-// the ID of the span trace this search recorded, 0 when it was not sampled
-// — candidate-mode callers surface it so request-level traces can link to
-// the retained execution trace in /debug/trace.
-func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, st *Stats) (traceID uint64) {
+// its latency into the (substrate, strategy) histogram, and zeroes the
+// scratch-local tallies. Called once per search when the obs gate is on;
+// the scratch tallies still accumulate (cheaply) when it is off, so they
+// are also zeroed here to keep a later snapshot from attributing old work
+// to a new window. It returns the search's span — labels, latency, work
+// counters and the sampled execution trace, if any — for the caller's
+// root: a bare Search offers it to obs.Requests, a candidate search hands
+// its trace up to the scatter-gather layer.
+func (sc *scratch) flushObs(idx Index, algo Algorithm, start time.Time, st *Stats) (sp obs.ShardSpan) {
 	obsSearches.Inc()
 	sub := subOther
 	switch a := idx.(type) {
@@ -140,9 +132,8 @@ func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, s
 	}
 	flushStats(st)
 
-	heapPushes := sc.heap.pushes + sc.pHeap.pushes
-	if heapPushes != 0 {
-		obsHeapPushes.Add(heapPushes)
+	if n := sc.heap.pushes + sc.pHeap.pushes; n != 0 {
+		obsHeapPushes.Add(n)
 	}
 	if n := sc.heap.pops + sc.pHeap.pops; n != 0 {
 		obsHeapPops.Add(n)
@@ -164,32 +155,15 @@ func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, s
 		obsDeferItems.Add(sc.list.deferItems)
 	}
 
+	sp = searchSpan(substrateNames[sub], algo.String(), 0, st)
+	sp.CoarsePrunes = sc.qItemPrunes
 	if !start.IsZero() {
-		lat := time.Since(start).Nanoseconds()
-		searchLatency[sub][algo].RecordShard(sc.shard, lat)
-		sample := obs.FlightSample{
-			WhenUnixNs: start.UnixNano(),
-			LatencyNs:  lat,
-			Substrate:  flightSub[sub],
-			Algo:       flightAlgo[algo],
-			K:          k,
-			Nodes:      uint64(st.NodesVisited),
-			Items:      uint64(st.Items),
-			DomChecks:  uint64(st.DomChecks),
-			Pruned:     uint64(st.Pruned),
-			HeapPushes: heapPushes,
-		}
+		sp.LatencyNs = time.Since(start).Nanoseconds()
+		searchLatency[sub][algo].RecordShard(sc.shard, sp.LatencyNs)
 		if sc.tb != nil {
-			// Freeze the sampled span tree and hand it to the ring with the
-			// counters: a trace is retained exactly as long as its query
-			// stays among the FlightSlots slowest (tail sampling).
-			sample.Trace = sc.trace.Finish(flightSub[sub], flightAlgo[algo], k, start.UnixNano(), lat)
+			sp.Trace = sc.trace.Finish(sp.LatencyNs)
 			sc.tb = nil
-			if sample.Trace != nil {
-				traceID = sample.Trace.ID
-			}
 		}
-		obs.Flight.Record(sample)
 	}
 	sc.clearObsTallies()
 
@@ -197,7 +171,26 @@ func (sc *scratch) flushObs(idx Index, algo Algorithm, k int, start time.Time, s
 	// (quartic solves, overlap short-circuits) become visible with the
 	// same per-search cadence.
 	sc.list.pp.FlushObs()
-	return traceID
+	return sp
+}
+
+// searchSpan is a bare search's one child span: its labels and work
+// counters, with no distK pushdown to report.
+func searchSpan(substrate, algo string, lat int64, st *Stats) obs.ShardSpan {
+	return obs.ShardSpan{
+		Substrate: substrate, Algo: algo, LatencyNs: lat,
+		NodesVisited: st.NodesVisited, ItemsScanned: st.Items,
+		DomChecks: st.DomChecks, Pruned: st.Pruned,
+		BoundObserved: obs.NoBound, BoundPublished: obs.NoBound,
+	}
+}
+
+// recordSearch offers a bare search to obs.Requests as a root with its one
+// child span.
+func recordSearch(endpoint string, k int, start time.Time, sp obs.ShardSpan) {
+	obs.Requests.RecordSearch(obs.Request{
+		Endpoint: endpoint, K: k, WhenUnixNs: start.UnixNano(), LatencyNs: sp.LatencyNs,
+	}, sp)
 }
 
 // clearObsTallies zeroes the scratch-local counters a flush (or a pool

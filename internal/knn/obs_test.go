@@ -61,8 +61,8 @@ func TestObsSearchCounters(t *testing.T) {
 
 // TestObsSearchLatency verifies the per-search latency observability: each
 // search records exactly one sample into the histogram instance of its
-// (substrate, strategy) pair, and the flight recorder retains the query
-// with its labels, k and counter diffs.
+// (substrate, strategy) pair, and obs.Requests retains the search as a
+// root whose one child span carries its labels and counters.
 func TestObsSearchLatency(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
@@ -96,52 +96,51 @@ func TestObsSearchLatency(t *testing.T) {
 		t.Errorf(`sstree/DF instance holds %d samples, want 1`, df.Count)
 	}
 
-	dump := obs.Flight.Dump()
+	dump := obs.Requests.Dump()
 	if len(dump) != searches+1 {
-		t.Fatalf("flight recorder retains %d queries, want %d", len(dump), searches+1)
+		t.Fatalf("Requests ring retains %d searches, want %d", len(dump), searches+1)
 	}
 	for _, r := range dump {
-		if r.Substrate != "sstree" {
-			t.Errorf("flight record substrate = %q, want sstree", r.Substrate)
+		if r.Endpoint != "knn.Search" || r.K != 10 || len(r.Shards) != 1 {
+			t.Fatalf("bare-search root = %+v, want knn.Search, k 10, one child span", r)
 		}
-		if r.Algo != "HS" && r.Algo != "DF" {
-			t.Errorf("flight record algo = %q", r.Algo)
+		if sp := r.Shards[0]; sp.Substrate != "sstree" || (sp.Algo != "HS" && sp.Algo != "DF") {
+			t.Errorf("search span labels = (%q, %q), want sstree and HS or DF", sp.Substrate, sp.Algo)
 		}
-		if r.K != 10 {
-			t.Errorf("flight record k = %d, want 10", r.K)
-		}
-		if r.LatencyNs <= 0 || r.WhenUnixNs <= 0 {
-			t.Errorf("flight record timing not positive: %+v", r)
+		if r.LatencyNs <= 0 || r.WhenUnixNs <= 0 || r.Shards[0].LatencyNs != r.LatencyNs {
+			t.Errorf("root timing not positive or not the child's: %+v", r)
 		}
 	}
-	// HS runs of the same query are deterministic, so some record carries
-	// the last run's exact counter diffs.
+	// HS runs of the same query are deterministic, so some span carries
+	// the last run's exact counters.
 	var matched bool
 	for _, r := range dump {
-		if r.Algo == "HS" && r.Nodes == uint64(res.Stats.NodesVisited) &&
-			r.Items == uint64(res.Stats.Items) && r.DomChecks == uint64(res.Stats.DomChecks) {
+		sp := r.Shards[0]
+		if sp.Algo == "HS" && sp.NodesVisited == res.Stats.NodesVisited &&
+			sp.ItemsScanned == res.Stats.Items && sp.DomChecks == res.Stats.DomChecks &&
+			sp.Pruned == res.Stats.Pruned {
 			matched = true
 			break
 		}
 	}
 	if !matched {
-		t.Errorf("no flight record matches the last search's Stats %+v", res.Stats)
+		t.Errorf("no search span matches the last search's Stats %+v", res.Stats)
 	}
 
-	// Gate off: no latency samples, no flight records.
+	// Gate off: no latency samples, no roots.
 	obs.SetEnabled(false)
 	obs.ResetForTest()
 	Search(idx, q, 10, dominance.Hyperbola{}, HS)
 	if n := obs.MergedHist("knn.search_latency").Count; n != 0 {
 		t.Errorf("search_latency recorded %d samples with the gate off", n)
 	}
-	if dump := obs.Flight.Dump(); len(dump) != 0 {
-		t.Errorf("flight recorder admitted %d queries with the gate off", len(dump))
+	if dump := obs.Requests.Dump(); len(dump) != 0 {
+		t.Errorf("Requests ring admitted %d searches with the gate off", len(dump))
 	}
 }
 
 // TestObsBruteForceCounters checks the non-tree path publishes too,
-// including its latency histogram instance and flight record.
+// including its latency histogram instance and its root span.
 func TestObsBruteForceCounters(t *testing.T) {
 	defer obs.SetEnabled(true)
 	obs.SetEnabled(true)
@@ -163,8 +162,10 @@ func TestObsBruteForceCounters(t *testing.T) {
 	if n := obs.GetOrNewHistogram("knn.search_latency", `substrate="brute",algo="scan"`).Snap().Count; n != 1 {
 		t.Errorf("brute-force latency instance holds %d samples, want 1", n)
 	}
-	dump := obs.Flight.Dump()
-	if len(dump) != 1 || dump[0].Substrate != "brute" || dump[0].Algo != "scan" || dump[0].K != 5 {
-		t.Errorf("brute-force flight record wrong: %+v", dump)
+	dump := obs.Requests.Dump()
+	if len(dump) != 1 || dump[0].Endpoint != "knn.BruteForce" || dump[0].K != 5 ||
+		dump[0].Shards[0].Substrate != "brute" || dump[0].Shards[0].Algo != "scan" ||
+		dump[0].Shards[0].ItemsScanned != res.Stats.Items {
+		t.Errorf("brute-force root wrong: %+v", dump)
 	}
 }

@@ -98,7 +98,9 @@ func (sc *scratch) search(idx Index, sq geom.Sphere, k int, crit dominance.Crite
 	}
 	res.Items = l.finish()
 	if obs.On() {
-		sc.flushObs(idx, algo, k, start, &res.Stats)
+		if sp := sc.flushObs(idx, algo, start, &res.Stats); !start.IsZero() {
+			recordSearch("knn.Search", k, start, sp)
+		}
 	}
 	return res
 }
@@ -116,13 +118,13 @@ func (sc *scratch) traverse(idx Index, sq geom.Sphere, k int, crit dominance.Cri
 		panic(fmt.Sprintf("knn: k = %d", k))
 	}
 	// One clock read per search when instrumentation is on: the delta feeds
-	// the per-(substrate, strategy) latency histogram and the flight
-	// recorder at the same flush point as the work counters.
+	// the per-(substrate, strategy) latency histogram and the search's span
+	// at the same flush point as the work counters.
 	if obs.On() {
 		start = time.Now()
 		if obs.SampleTrace() {
 			// This search records its full span tree; flushObs freezes it
-			// and offers it to the flight recorder with the counters.
+			// onto the search's span with the counters.
 			sc.trace.Begin(start)
 			sc.tb = &sc.trace
 		}

@@ -71,8 +71,9 @@ func TestCandidateSetCoarsePrunes(t *testing.T) {
 }
 
 // TestCandidateSetTraceID pins the request-to-execution-trace linkage: a
-// sampled candidate search returns the ID of the QueryTrace it recorded,
-// and an unsampled one returns 0.
+// sampled candidate search returns the QueryTrace it recorded, and an
+// unsampled one returns nil. Candidate searches record no root of their
+// own — the scatter-gather layer hangs the trace on its shard span.
 func TestCandidateSetTraceID(t *testing.T) {
 	obs.ResetForTest()
 	obs.SetEnabled(true)
@@ -86,24 +87,16 @@ func TestCandidateSetTraceID(t *testing.T) {
 	items := randItems(rng, 3, 300, 3)
 	idx := index(items, 3)
 	cs := SearchCandidates(idx, randQuery(rng, 3, 2), 5, dominance.Hyperbola{}, HS, nil)
-	if cs.TraceID == 0 {
-		t.Fatal("sampled search returned trace ID 0")
+	if cs.Trace == nil || cs.Trace.ID == 0 || cs.Trace.CountKind(obs.SpanSearch) != 1 {
+		t.Fatalf("sampled search returned trace %+v, want a finished trace", cs.Trace)
 	}
-	// The linked trace must be retrievable from the flight recorder.
-	found := false
-	for _, qt := range obs.Flight.Traces() {
-		if qt.ID == cs.TraceID {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("trace %d not in flight recorder", cs.TraceID)
+	if dump := obs.Requests.Dump(); len(dump) != 0 {
+		t.Fatalf("candidate search recorded %d roots, want 0", len(dump))
 	}
 
 	obs.SetTraceEvery(0)
 	cs = SearchCandidates(idx, randQuery(rng, 3, 2), 5, dominance.Hyperbola{}, HS, nil)
-	if cs.TraceID != 0 {
-		t.Fatalf("unsampled search returned trace ID %d", cs.TraceID)
+	if cs.Trace != nil {
+		t.Fatalf("unsampled search returned trace %d", cs.Trace.ID)
 	}
 }

@@ -11,11 +11,11 @@ import (
 	"hyperdom/internal/obs"
 )
 
-// TestTraceScrapeConcurrent is the flight-recorder/trace linkage race gate
-// (ISSUE 4): searches recording sampled traces into the ring while scrapers
-// hammer /debug/slow and /debug/trace must neither race (the -race CI run
-// covers this file) nor tear spans — every trace served is a complete,
-// internally consistent tree.
+// TestTraceScrapeConcurrent is the ring/trace linkage race gate:
+// searches recording sampled traces into obs.Requests while scrapers hammer
+// /debug/requests as JSON and as Chrome export must neither race (the -race
+// CI run covers this file) nor tear spans — every trace served is a
+// complete, internally consistent tree.
 func TestTraceScrapeConcurrent(t *testing.T) {
 	defer obs.SetEnabled(true)
 	defer obs.SetTraceEvery(0)
@@ -77,10 +77,10 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 		}
 	}
 	readWG.Add(2)
-	go scrape("/debug/slow")
-	go scrape("/debug/trace")
+	go scrape("/debug/requests")
+	go scrape("/debug/requests?format=chrome")
 
-	// A direct reader too: Traces() without the HTTP layer, checking span
+	// A direct reader too: Dump() without the HTTP layer, checking span
 	// trees for tearing while writers are active.
 	readWG.Add(1)
 	go func() {
@@ -91,7 +91,7 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			for _, qt := range obs.Flight.Traces() {
+			for _, qt := range retainedTraces() {
 				if len(qt.Spans) == 0 || qt.Spans[0].Kind != obs.SpanSearch {
 					t.Errorf("trace %d has no root span", qt.ID)
 					return
@@ -113,7 +113,20 @@ func TestTraceScrapeConcurrent(t *testing.T) {
 	if got := obs.Lookup("knn.searches").Load(); got != searchers*rounds {
 		t.Errorf("knn.searches = %d, want %d", got, searchers*rounds)
 	}
-	if len(obs.Flight.Traces()) == 0 {
+	if len(retainedTraces()) == 0 {
 		t.Error("no traces retained after concurrent run")
 	}
+}
+
+// retainedTraces returns the execution traces riding on obs.Requests' spans.
+func retainedTraces() []*obs.QueryTrace {
+	var out []*obs.QueryTrace
+	for _, r := range obs.Requests.Dump() {
+		for _, sp := range r.Shards {
+			if sp.Trace != nil {
+				out = append(out, sp.Trace)
+			}
+		}
+	}
+	return out
 }

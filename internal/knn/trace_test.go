@@ -47,7 +47,7 @@ func traceFixtures(t *testing.T) (items []Item, q geom.Sphere, fixtures map[stri
 // search must produce a span tree whose node-visit, item-prune and
 // dominance-check span counts exactly equal the query's knn obs counters —
 // across every substrate and both traversal strategies — and the trace must
-// be linked to the query's flight record.
+// ride on the search's span in obs.Requests.
 func TestTraceSpanCountsMatchStats(t *testing.T) {
 	defer obs.SetEnabled(true)
 	defer obs.SetTraceEvery(0)
@@ -61,11 +61,12 @@ func TestTraceSpanCountsMatchStats(t *testing.T) {
 				obs.ResetForTest()
 				res := Search(idx, q, 10, dominance.Hyperbola{}, algo)
 
-				traces := obs.Flight.Traces()
-				if len(traces) != 1 {
-					t.Fatalf("retained %d traces, want 1", len(traces))
+				dump := obs.Requests.Dump()
+				if len(dump) != 1 || len(dump[0].Shards) != 1 || dump[0].Shards[0].Trace == nil {
+					t.Fatalf("want one retained root with a traced child span, got %+v", dump)
 				}
-				qt := traces[0]
+				sp := dump[0].Shards[0]
+				qt := sp.Trace
 
 				if got := qt.CountKind(obs.SpanSearch); got != 1 {
 					t.Errorf("search spans = %d, want 1", got)
@@ -102,18 +103,11 @@ func TestTraceSpanCountsMatchStats(t *testing.T) {
 					t.Errorf("knn.dom_checks = %d, dom-check spans = %d", got, qt.CountKind(obs.SpanDomCheck))
 				}
 
-				// Flight linkage: the query's record carries the trace ID and
-				// the same counters the spans reproduce.
-				dump := obs.Flight.Dump()
-				if len(dump) != 1 {
-					t.Fatalf("flight dump has %d records, want 1", len(dump))
-				}
-				rec := dump[0]
-				if rec.TraceID != qt.ID {
-					t.Errorf("flight TraceID = %d, trace ID = %d", rec.TraceID, qt.ID)
-				}
-				if rec.Nodes != uint64(res.Stats.NodesVisited) || rec.Pruned != uint64(res.Stats.Pruned) {
-					t.Errorf("flight record counters diverge from Stats: %+v vs %+v", rec, res.Stats)
+				// The trace rides on the search's span, beside the same
+				// counters the spans reproduce.
+				if sp.NodesVisited != res.Stats.NodesVisited || sp.Pruned != res.Stats.Pruned ||
+					sp.DomChecks != res.Stats.DomChecks {
+					t.Errorf("span counters diverge from Stats: %+v vs %+v", sp, res.Stats)
 				}
 
 				// Span-tree structural sanity: parents precede children, node
@@ -218,6 +212,7 @@ func TestTraceDisabledAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	obs.SetTraceEvery(0)
+	obs.SetEnabled(true)
 	idx, queries := allocFixture(10000)
 	for _, algo := range []Algorithm{DF, HS} {
 		q := 0
@@ -226,10 +221,16 @@ func TestTraceDisabledAllocs(t *testing.T) {
 			Search(idx, queries[q%len(queries)], 10, dominance.Hyperbola{}, algo)
 			q++
 		}
+		// An emptied ring admits every measured search: the root and its
+		// span are stored by value, so admission must not allocate either.
+		obs.Requests.Reset()
 		allocs := testing.AllocsPerRun(64, func() {
 			Search(idx, queries[q%len(queries)], 10, dominance.Hyperbola{}, algo)
 			q++
 		})
+		if n := len(obs.Requests.Dump()); n < 64 {
+			t.Errorf("%v: ring admitted %d measured searches, want ≥ 64", algo, n)
+		}
 		if allocs > 2 {
 			t.Errorf("%v: %.1f allocs/op with tracing disabled, want ≤ 2", algo, allocs)
 		}

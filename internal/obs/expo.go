@@ -18,8 +18,9 @@ import (
 //	/metrics        counters and histogram buckets in Prometheus text
 //	                format, plus the windowed *_1m quantile and rate
 //	                families when the timeline is ticking
-//	/debug/slow     the flight recorder's slowest-queries dump as JSON
-//	/debug/trace    the retained execution traces as Chrome trace_event JSON
+//	/debug/requests the slowest recent requests and searches, each a root
+//	                span with its per-shard spans and sampled execution
+//	                traces, as JSON (?format=chrome: Chrome trace_event)
 //	/debug/timeline the timeline ring: periodic windowed-quantile /
 //	                rate / runtime snapshots, oldest first, as JSON
 //	/debug/health   the structured ok/degraded/unhealthy verdict (503
@@ -237,36 +238,18 @@ func Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		recs := Flight.Dump()
-		if recs == nil {
-			// Dump never returns nil today, but an empty recorder must
-			// serve [] — scrapers index into the array unconditionally.
-			recs = []FlightRecord{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(recs); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		recs := Requests.Dump()
-		if r.URL.Query().Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			if err := WriteRequestChromeTrace(w, recs); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if recs == nil {
-			recs = []*RequestTrace{}
+		roots := Requests.Dump() // never nil: an empty ring serves []
+		var err error
+		if r.URL.Query().Get("format") == "chrome" {
+			err = WriteChromeTrace(w, roots)
+		} else {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(roots)
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(recs); err != nil {
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -288,12 +271,6 @@ func Handler() http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if err := WriteChromeTrace(w, Flight.Traces()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

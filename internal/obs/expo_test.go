@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestPromName(t *testing.T) {
@@ -106,127 +104,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSlowEndpoint checks /debug/slow serves the flight recorder dump as
-// valid JSON in descending latency order.
-func TestSlowEndpoint(t *testing.T) {
-	Flight.Reset()
-	defer Flight.Reset()
-	sub := FlightLabel("expo-substrate")
-	Flight.Record(FlightSample{LatencyNs: 300, Substrate: sub, K: 10, Nodes: 42})
-	Flight.Record(FlightSample{LatencyNs: 700, Substrate: sub, K: 5, Nodes: 99})
-
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/debug/slow status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("/debug/slow Content-Type = %q", ct)
-	}
-	var recs []FlightRecord
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		t.Fatalf("/debug/slow is not valid JSON: %v", err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("/debug/slow returned %d records, want 2", len(recs))
-	}
-	if recs[0].LatencyNs != 700 || recs[1].LatencyNs != 300 {
-		t.Errorf("records not in descending latency order: %+v", recs)
-	}
-	if recs[0].Substrate != "expo-substrate" || recs[0].K != 5 || recs[0].Nodes != 99 {
-		t.Errorf("record fields lost in exposition: %+v", recs[0])
-	}
-}
-
-// TestSlowEndpointEmpty checks the empty-recorder case: /debug/slow must
-// serve [] (never null), with the JSON content type.
-func TestSlowEndpointEmpty(t *testing.T) {
-	Flight.Reset()
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/debug/slow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-		t.Errorf("/debug/slow Content-Type = %q", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := strings.TrimSpace(string(raw))
-	if body != "[]" {
-		t.Errorf("empty /debug/slow body = %q, want []", body)
-	}
-}
-
-// TestTraceEndpoint checks /debug/trace serves the retained execution
-// traces as trace_event JSON — and a valid empty document (traceEvents: [],
-// not null) when nothing is retained.
-func TestTraceEndpoint(t *testing.T) {
-	Flight.Reset()
-	defer Flight.Reset()
-	srv := httptest.NewServer(Handler())
-	defer srv.Close()
-
-	get := func() (string, map[string]json.RawMessage) {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + "/debug/trace")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("/debug/trace status = %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
-			t.Errorf("/debug/trace Content-Type = %q", ct)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatalf("/debug/trace is not valid JSON: %v", err)
-		}
-		return string(raw), doc
-	}
-
-	_, doc := get()
-	events, ok := doc["traceEvents"]
-	if !ok || strings.TrimSpace(string(events)) == "null" {
-		t.Fatalf("empty /debug/trace traceEvents = %q, want an array", events)
-	}
-
-	var b TraceBuf
-	b.Begin(time.Now())
-	sp := b.StartNode(1, 0)
-	b.EndNode(sp, 0, 3)
-	qt := b.Finish(FlightLabel("sstree"), FlightLabel("DF"), 4, time.Now().UnixNano(), 900)
-	Flight.Record(FlightSample{LatencyNs: 900, K: 4, Trace: qt})
-
-	body, doc := get()
-	var evs []map[string]any
-	if err := json.Unmarshal(doc["traceEvents"], &evs); err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) == 0 {
-		t.Fatal("/debug/trace has no events after recording a trace")
-	}
-	if !strings.Contains(body, `"search"`) || !strings.Contains(body, `"leaf"`) {
-		t.Errorf("/debug/trace export lost the span events: %s", body)
-	}
-}
-
-// TestDebugEndpoints checks /debug/vars and the pprof index respond.
+// TestDebugEndpoints checks /debug/vars and the pprof index respond, and
+// that the endpoints folded into /debug/requests stay gone.
 func TestDebugEndpoints(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -247,5 +126,16 @@ func TestDebugEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == 200 {
 		t.Errorf("unknown path served 200")
+	}
+	for _, gone := range []string{"slow", "trace"} {
+		path := "/debug/" + gone
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 404 {
+			t.Errorf("%s status = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

@@ -331,7 +331,7 @@ func (sw Stopwatch) Stop(h *Histogram) time.Duration {
 }
 
 // ResetForTest zeroes every registered counter and histogram and clears
-// the flight recorder, preserving all registrations — so tests (and
+// the Requests ring, preserving all registrations — so tests (and
 // measurement harnesses like benchkernel) can assert absolute readings
 // instead of diffing snapshots of monotonically growing globals. It is not
 // linearizable against concurrent recorders; quiesce the workload first.
@@ -346,7 +346,6 @@ func ResetForTest() {
 		h.reset()
 	}
 	histRegistry.mu.RUnlock()
-	Flight.Reset()
 	Requests.Reset()
 	Rates.Reset()
 	gauges.mu.RLock()

@@ -238,13 +238,13 @@ func TestHistRecordAllocs(t *testing.T) {
 }
 
 // TestResetForTest verifies registry-preserving zeroing across counters,
-// histograms and the flight recorder.
+// histograms and the Requests ring.
 func TestResetForTest(t *testing.T) {
 	c := New("test.reset.counter")
 	h := NewHistogram("test.reset.hist", "")
 	c.Add(5)
 	h.Record(100)
-	Flight.Record(FlightSample{LatencyNs: 999, K: 1})
+	Requests.Record(Request{LatencyNs: 999, K: 1})
 	ResetForTest()
 	if got := c.Load(); got != 0 {
 		t.Errorf("counter = %d after ResetForTest, want 0", got)
@@ -258,8 +258,8 @@ func TestResetForTest(t *testing.T) {
 	if GetOrNewHistogram("test.reset.hist", "") != h {
 		t.Error("ResetForTest dropped the histogram registration")
 	}
-	if dump := Flight.Dump(); len(dump) != 0 {
-		t.Errorf("flight recorder holds %d records after ResetForTest, want 0", len(dump))
+	if dump := Requests.Dump(); len(dump) != 0 {
+		t.Errorf("Requests ring holds %d roots after ResetForTest, want 0", len(dump))
 	}
 	c.Inc()
 	h.Record(7)

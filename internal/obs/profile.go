@@ -47,10 +47,11 @@ func WriteHeapProfile(path string) error {
 }
 
 // Serve starts an HTTP server on addr exposing the full observability mux
-// of Handler: /metrics (Prometheus text), /debug/slow (flight recorder),
-// /debug/vars (expvar, including the "hyperdom" snapshot) and
-// /debug/pprof. It returns the bound address — pass "localhost:0" for an
-// ephemeral port. The server runs until the process exits.
+// of Handler: /metrics (Prometheus text), /debug/requests (the slowest
+// requests and searches), /debug/vars (expvar, including the "hyperdom"
+// snapshot) and /debug/pprof. It returns the bound address — pass
+// "localhost:0" for an ephemeral port. The server runs until the process
+// exits.
 func Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -83,11 +84,11 @@ func RegisterFlags(fs *flag.FlagSet) *ProfileFlags {
 	fs.StringVar(&pf.MemProfile, "memprofile", "", "write a heap profile to `file` on exit")
 	fs.StringVar(&pf.PprofAddr, "pprof", "", "serve /debug/pprof and /debug/vars on `addr` (e.g. localhost:6060)")
 	fs.StringVar(&pf.ServeAddr, "serve", "",
-		"serve /metrics, /debug/slow, /debug/vars and /debug/pprof on `addr`; keeps serving after the run until interrupted")
+		"serve /metrics, /debug/requests, /debug/vars and /debug/pprof on `addr`; keeps serving after the run until interrupted")
 	fs.BoolVar(&pf.Metrics, "metrics", false,
 		"print the obs counter snapshot on exit; in the figure runners this also re-enables counters for each figure and prints a per-figure diff")
 	fs.StringVar(&pf.TracePath, "trace", "",
-		"export the retained per-query execution traces as Chrome trace_event JSON to `file` on exit (open in chrome://tracing or ui.perfetto.dev)")
+		"export the slowest retained requests and searches, with their sampled execution traces, as Chrome trace_event JSON to `file` on exit (open in chrome://tracing or ui.perfetto.dev)")
 	fs.IntVar(&pf.TraceEvery, "trace-every", 16,
 		"with -trace or -serve, sample every Nth search for execution tracing")
 	fs.DurationVar(&pf.TimelinePeriod, "timeline-period", DefaultTimelinePeriod,
@@ -111,8 +112,8 @@ func (pf *ProfileFlags) Wanted() bool {
 // run finishes.
 func (pf *ProfileFlags) Start() (stop func(), err error) {
 	if pf.TracePath != "" || pf.ServeAddr != "" {
-		// -trace wants a file on exit; -serve wants /debug/trace to have
-		// content. Either way, turn on 1-in-N execution-trace sampling.
+		// -trace wants a file on exit; -serve wants /debug/requests to
+		// carry traces. Either way, turn on 1-in-N execution-trace sampling.
 		SetTraceEvery(pf.TraceEvery)
 	}
 	var stopCPU func() error
@@ -172,7 +173,7 @@ func (pf *ProfileFlags) Start() (stop func(), err error) {
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "obs: trace export: %v\n", err)
 			} else {
-				fmt.Fprintf(os.Stderr, "obs: wrote %d query traces to %s\n", n, pf.TracePath)
+				fmt.Fprintf(os.Stderr, "obs: wrote %d requests to %s\n", n, pf.TracePath)
 			}
 		}
 		if pf.boundServe != "" {

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"sort"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,16 +13,58 @@ import (
 // prune decision, dominance check and shadow-evaluation disagreement — into
 // a TraceBuf owned by the search's scratch arena. Tracing is tail-sampled
 // twice over: the record path only runs for 1-in-N searches (SetTraceEvery),
-// and a finished trace survives only while its query stays among the
-// FlightSlots slowest in the flight recorder, so steady state retains the
-// traces that explain the latency tail. With sampling disabled the only
-// cost left in the hot path is a nil check per instrumentation site and one
-// atomic load per search — no clock reads, no allocation (gated by the knn
-// package's TestObsOverheadTracing).
-//
-// Traces export as Chrome trace_event JSON (WriteChromeTrace, the
-// /debug/trace endpoint, and the -trace flag of the benchmark commands) and
-// open directly in chrome://tracing or https://ui.perfetto.dev.
+// and a finished trace rides on its traversal's span, so it survives only
+// while that span's root stays among the RequestSlots slowest in the
+// Requests ring and steady state retains the traces that explain the
+// latency tail. With sampling disabled the only cost left in the hot path
+// is a nil check per instrumentation site and one atomic load per search —
+// no clock reads, no allocation (gated by the knn package's
+// TestTraceDisabledAllocs). Traces export nested under their spans through
+// WriteChromeTrace.
+
+// LabelID is an interned label (a criterion name) for the trace record
+// path, which cannot afford a string table lookup per event. Intern once at
+// package init with FlightLabel.
+type LabelID uint32
+
+// labels is the process-wide label intern table. ID 0 is reserved for the
+// empty string so zero-valued spans read back cleanly.
+var labels = struct {
+	mu    sync.RWMutex
+	names []string
+	ids   map[string]LabelID
+}{names: []string{""}, ids: map[string]LabelID{"": 0}}
+
+// FlightLabel interns name and returns its ID. Call once per distinct
+// label at init time and cache the result; the record path only stores the
+// uint32.
+func FlightLabel(name string) LabelID {
+	labels.mu.RLock()
+	id, ok := labels.ids[name]
+	labels.mu.RUnlock()
+	if ok {
+		return id
+	}
+	labels.mu.Lock()
+	defer labels.mu.Unlock()
+	if id, ok := labels.ids[name]; ok {
+		return id
+	}
+	id = LabelID(len(labels.names))
+	labels.names = append(labels.names, name)
+	labels.ids[name] = id
+	return id
+}
+
+// labelName resolves an interned ID; unknown IDs resolve to "".
+func labelName(id LabelID) string {
+	labels.mu.RLock()
+	defer labels.mu.RUnlock()
+	if int(id) < len(labels.names) {
+		return labels.names[id]
+	}
+	return ""
+}
 
 // SpanKind classifies one span (or instant event) of a query trace.
 type SpanKind uint8
@@ -114,8 +154,8 @@ type TraceBuf struct {
 func (b *TraceBuf) Active() bool { return b.active }
 
 // Begin resets the buffer and opens the root SpanSearch span with the given
-// start time (shared with the search's latency measurement, so trace
-// timestamps line up with the flight recorder).
+// start time (shared with the search's latency measurement, so the root
+// span ends exactly at the recorded latency).
 func (b *TraceBuf) Begin(start time.Time) {
 	b.spans = b.spans[:0]
 	b.start = start
@@ -202,36 +242,34 @@ func (b *TraceBuf) Cancel() {
 // traceIDs hands out process-unique trace IDs.
 var traceIDs atomic.Uint64
 
-// Finish closes the root span and freezes the buffer into an immutable
-// QueryTrace ready for the flight recorder. The buffer is reset for reuse;
-// only this copy allocates, and only for sampled queries.
-func (b *TraceBuf) Finish(substrate, algo LabelID, k int, whenUnixNs, latencyNs int64) *QueryTrace {
+// Finish closes the root span at latencyNs and freezes the buffer into an
+// immutable QueryTrace, ready to ride on its traversal's span. The buffer
+// is reset for reuse; only this copy allocates, and only for sampled
+// queries.
+func (b *TraceBuf) Finish(latencyNs int64) *QueryTrace {
 	b.spans[0].EndNs = latencyNs
-	qt := &QueryTrace{
-		ID:         traceIDs.Add(1),
-		WhenUnixNs: whenUnixNs,
-		LatencyNs:  latencyNs,
-		Substrate:  substrate,
-		Algo:       algo,
-		K:          k,
-		Spans:      append([]Span(nil), b.spans...),
-	}
+	qt := &QueryTrace{ID: traceIDs.Add(1), Spans: append([]Span(nil), b.spans...)}
 	b.active = false
 	b.spans = b.spans[:0]
 	return qt
 }
 
-// QueryTrace is one finished, immutable query trace. Instances are shared
-// by pointer between the flight recorder and exporters; nothing mutates
-// them after Finish.
+// QueryTrace is one finished, immutable query trace; nothing mutates it
+// after Finish. It marshals as its ID (the trace_id of its span).
 type QueryTrace struct {
-	ID         uint64
-	WhenUnixNs int64
-	LatencyNs  int64
-	Substrate  LabelID
-	Algo       LabelID
-	K          int
-	Spans      []Span
+	ID    uint64
+	Spans []Span
+}
+
+// MarshalJSON implements json.Marshaler.
+func (t *QueryTrace) MarshalJSON() ([]byte, error) { return strconv.AppendUint(nil, t.ID, 10), nil }
+
+// UnmarshalJSON implements json.Unmarshaler: a decoded trace keeps only
+// its ID.
+func (t *QueryTrace) UnmarshalJSON(b []byte) error {
+	id, err := strconv.ParseUint(string(b), 10, 64)
+	t.ID = id
+	return err
 }
 
 // CountKind returns how many spans of the given kind the trace holds.
@@ -306,9 +344,6 @@ func spanArgs(t *QueryTrace, sp *Span) map[string]any {
 	args := map[string]any{}
 	switch sp.Kind {
 	case SpanSearch:
-		args["substrate"] = labelName(t.Substrate)
-		args["algo"] = labelName(t.Algo)
-		args["k"] = t.K
 		args["nodes_visited"] = t.CountKind(SpanNode)
 		args["pruned"] = t.CountKind(SpanItemPrune)
 		args["dom_checks"] = t.CountKind(SpanDomCheck)
@@ -338,92 +373,24 @@ func spanArgs(t *QueryTrace, sp *Span) map[string]any {
 	return args
 }
 
-// WriteChromeTrace writes the traces as one Chrome trace_event JSON
-// document: each query becomes its own named thread track, duration events
-// for the search and node-visit spans, instant events for prune decisions,
-// dominance checks and shadow disagreements. Timestamps are microseconds
-// relative to the earliest trace, so concurrent queries line up in time.
-// An empty trace set produces a valid document with "traceEvents": [].
-func WriteChromeTrace(w io.Writer, traces []*QueryTrace) error {
-	var minWhen int64
-	for i, t := range traces {
-		if i == 0 || t.WhenUnixNs < minWhen {
-			minWhen = t.WhenUnixNs
+// appendEvents appends the trace's spans as Chrome events on thread tid of
+// process pid, offset by base microseconds: duration events for the search
+// and node visits, instant events for everything else.
+func (t *QueryTrace) appendEvents(events []map[string]any, pid, tid int, base float64) []map[string]any {
+	for i := range t.Spans {
+		sp := &t.Spans[i]
+		ev := map[string]any{
+			"name": spanName(sp), "cat": "hyperdom", "pid": pid, "tid": tid,
+			"ts": base + float64(sp.StartNs)/1e3, "args": spanArgs(t, sp),
 		}
-	}
-	events := make([]map[string]any, 0, 2+8*len(traces))
-	events = append(events, map[string]any{
-		"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-		"args": map[string]any{"name": "hyperdom"},
-	})
-	for ti, t := range traces {
-		tid := ti + 1
-		base := float64(t.WhenUnixNs-minWhen) / 1e3
-		events = append(events, map[string]any{
-			"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-			"args": map[string]any{"name": fmt.Sprintf("q%d %s/%s k=%d %.3fms",
-				t.ID, labelName(t.Substrate), labelName(t.Algo), t.K,
-				float64(t.LatencyNs)/1e6)},
-		})
-		for i := range t.Spans {
-			sp := &t.Spans[i]
-			ev := map[string]any{
-				"name": spanName(sp),
-				"cat":  "hyperdom",
-				"pid":  1,
-				"tid":  tid,
-				"ts":   base + float64(sp.StartNs)/1e3,
-				"args": spanArgs(t, sp),
-			}
-			if sp.Kind == SpanSearch || sp.Kind == SpanNode {
-				ev["ph"] = "X"
-				ev["dur"] = float64(sp.EndNs-sp.StartNs) / 1e3
-			} else {
-				ev["ph"] = "i"
-				ev["s"] = "t"
-			}
-			events = append(events, ev)
+		if sp.Kind == SpanSearch || sp.Kind == SpanNode {
+			ev["ph"] = "X"
+			ev["dur"] = float64(sp.EndNs-sp.StartNs) / 1e3
+		} else {
+			ev["ph"] = "i"
+			ev["s"] = "t"
 		}
+		events = append(events, ev)
 	}
-	doc := map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ns",
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
-}
-
-// WriteChromeTraceFile writes the flight recorder's retained traces to
-// path, sorted by descending latency — the -trace flag's exit path.
-func WriteChromeTraceFile(path string) (int, error) {
-	traces := Flight.Traces()
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	if err := WriteChromeTrace(f, traces); err != nil {
-		f.Close()
-		return 0, err
-	}
-	return len(traces), f.Close()
-}
-
-// Traces returns the query traces currently retained by the ring — the
-// sampled queries among the FlightSlots slowest — sorted by descending
-// latency. Trace objects are immutable; the pointer loads are atomic, so
-// this is safe against concurrent recording.
-func (f *FlightRecorder) Traces() []*QueryTrace {
-	out := make([]*QueryTrace, 0, FlightSlots)
-	for i := range f.slots {
-		if t := f.slots[i].trace.Load(); t != nil {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].LatencyNs != out[b].LatencyNs {
-			return out[a].LatencyNs > out[b].LatencyNs
-		}
-		return out[a].ID > out[b].ID
-	})
-	return out
+	return events
 }

@@ -27,7 +27,7 @@ func buildTrace(t *testing.T) *QueryTrace {
 	b.Shadow(FlightLabel("MinMax"), false, true)
 	b.EndNode(leaf, 0, 2)
 	b.EndNode(inner, 2, 0)
-	qt := b.Finish(FlightLabel("sstree"), FlightLabel("HS"), 10, time.Now().UnixNano(), 1500)
+	qt := b.Finish(1500)
 	if b.Active() {
 		t.Fatal("Finish left the buffer active")
 	}
@@ -56,8 +56,8 @@ func TestTraceBufSpans(t *testing.T) {
 	if root.Kind != SpanSearch || root.Parent != -1 {
 		t.Errorf("root span = kind %d parent %d, want SpanSearch/-1", root.Kind, root.Parent)
 	}
-	if root.EndNs != qt.LatencyNs {
-		t.Errorf("root EndNs = %d, want latency %d", root.EndNs, qt.LatencyNs)
+	if root.EndNs != 1500 {
+		t.Errorf("root EndNs = %d, want latency 1500", root.EndNs)
 	}
 
 	// Nesting: inner node under root, prune event and leaf under inner,
@@ -127,19 +127,24 @@ type chromeDoc struct {
 	} `json:"traceEvents"`
 }
 
+// TestWriteChromeTrace exports one bare-search root carrying a sampled
+// trace: the root span on thread 0, the child span and every trace span
+// on thread 1.
 func TestWriteChromeTrace(t *testing.T) {
 	qt := buildTrace(t)
+	root := Request{Endpoint: "knn.Search", K: 10, WhenUnixNs: time.Now().UnixNano(), LatencyNs: 1500,
+		Shards: []ShardSpan{{Substrate: "sstree", Algo: "HS", LatencyNs: 1500, Trace: qt}}}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, []*QueryTrace{qt}); err != nil {
+	if err := WriteChromeTrace(&buf, []Request{root}); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	// 2 metadata + 7 spans.
-	if got := len(doc.TraceEvents); got != 9 {
-		t.Fatalf("got %d trace events, want 9", got)
+	// 2 metadata + root + child + 7 trace spans.
+	if got := len(doc.TraceEvents); got != 11 {
+		t.Fatalf("got %d trace events, want 11", got)
 	}
 	var phX, phI, phM int
 	for _, ev := range doc.TraceEvents {
@@ -156,9 +161,12 @@ func TestWriteChromeTrace(t *testing.T) {
 		default:
 			t.Errorf("unexpected ph %q", ev.Ph)
 		}
+		if want := 1; ev.Ph != "M" && ev.Name != "knn.Search" && ev.Tid != want {
+			t.Errorf("%q on tid %d, want %d", ev.Name, ev.Tid, want)
+		}
 	}
-	if phX != 3 || phI != 4 || phM != 2 {
-		t.Errorf("event phases X/i/M = %d/%d/%d, want 3/4/2", phX, phI, phM)
+	if phX != 5 || phI != 4 || phM != 2 {
+		t.Errorf("event phases X/i/M = %d/%d/%d, want 5/4/2", phX, phI, phM)
 	}
 	if !strings.Contains(buf.String(), `"shadow-disagree"`) {
 		t.Error("export lost the shadow-disagreement event")
@@ -180,46 +188,5 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 	if strings.TrimSpace(string(events)) == "null" {
 		t.Fatal("empty export serialized traceEvents as null, want []")
-	}
-}
-
-func TestFlightTraceLinkage(t *testing.T) {
-	f := &FlightRecorder{}
-	qt := buildTrace(t)
-	f.Record(FlightSample{
-		WhenUnixNs: qt.WhenUnixNs, LatencyNs: qt.LatencyNs,
-		Substrate: qt.Substrate, Algo: qt.Algo, K: qt.K,
-		Nodes: 2, Trace: qt,
-	})
-	f.Record(FlightSample{WhenUnixNs: qt.WhenUnixNs, LatencyNs: qt.LatencyNs + 10, K: 3})
-
-	traces := f.Traces()
-	if len(traces) != 1 || traces[0] != qt {
-		t.Fatalf("Traces() = %v, want exactly the recorded trace", traces)
-	}
-
-	dump := f.Dump()
-	if len(dump) != 2 {
-		t.Fatalf("Dump len = %d, want 2", len(dump))
-	}
-	// Dump is latency-descending: the traced record is second.
-	if dump[0].TraceID != 0 {
-		t.Errorf("untraced record has TraceID %d", dump[0].TraceID)
-	}
-	if dump[1].TraceID != qt.ID {
-		t.Errorf("traced record TraceID = %d, want %d", dump[1].TraceID, qt.ID)
-	}
-
-	// Traces sort by descending latency.
-	qt2 := buildTrace(t)
-	f.Record(FlightSample{LatencyNs: qt.LatencyNs + 20, Trace: qt2, WhenUnixNs: qt.WhenUnixNs})
-	traces = f.Traces()
-	if len(traces) != 2 || traces[0] != qt2 {
-		t.Fatalf("Traces() order wrong: got %d traces", len(traces))
-	}
-
-	f.Reset()
-	if got := f.Traces(); len(got) != 0 {
-		t.Errorf("Reset left %d traces behind", len(got))
 	}
 }

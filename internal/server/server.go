@@ -19,8 +19,9 @@
 // status code, measures latency into the per-(collection, endpoint, code)
 // hyperdom_server_request_latency_seconds family, counts it in
 // hyperdom_server_requests_total{code,endpoint}, emits one structured JSON
-// access-log line, and offers kNN requests — with their per-shard trace
-// trees — to the request flight recorder behind /debug/requests.
+// access-log line, and offers each kNN request — a root span over its
+// per-shard spans, merge span and sampled execution traces — to the
+// slowest-requests ring behind /debug/requests.
 package server
 
 import (
@@ -195,7 +196,7 @@ func (s *Server) Handler() http.Handler {
 // handler: the response writer (capturing the status code on first write),
 // the request identity, and the slots a kNN handler fills so the
 // middleware — which alone knows the request's full wall latency — can
-// finish the RequestTrace.
+// record the request's root span.
 type reqCtx struct {
 	http.ResponseWriter
 	id         string
@@ -203,8 +204,8 @@ type reqCtx struct {
 	status     int
 
 	// Filled by handleKNN for successful searches: the scatter-gather
-	// trace tree and the query's k, wrapped into an obs.RequestTrace by
-	// the middleware after the response is written.
+	// trace tree and the query's k, recorded under the request's root span
+	// by the middleware after the response is written.
 	explain *shard.Explain
 	k       int
 }
@@ -268,19 +269,17 @@ func (s *Server) wrap(endpoint string, h func(*reqCtx, *http.Request)) http.Hand
 		}
 
 		if c.explain != nil {
-			t := &obs.RequestTrace{
+			obs.Requests.Record(obs.Request{
 				RequestID:  id,
 				Collection: c.collection,
 				Endpoint:   endpoint,
 				Status:     c.status,
 				K:          c.k,
 				WhenUnixNs: start.UnixNano(),
-				When:       start.Format(time.RFC3339Nano),
 				LatencyNs:  lat.Nanoseconds(),
 				Shards:     c.explain.Shards,
-				Merge:      c.explain.Merge,
-			}
-			obs.Requests.Record(t)
+				Merge:      &c.explain.Merge,
+			})
 		}
 
 		level := slog.LevelInfo

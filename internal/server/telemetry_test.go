@@ -295,12 +295,19 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
-// TestDebugRequestsServed pins the request flight recorder end to end: a
-// served kNN query appears at /debug/requests with its shard tree, linked
-// by the request ID the response carried.
+// TestDebugRequestsServed pins the request ring end to end: a served kNN
+// query appears at /debug/requests with its shard tree, linked by the
+// request ID the response carried, and with every search sampled the
+// Chrome export nests each shard's execution trace on that shard's thread.
 func TestDebugRequestsServed(t *testing.T) {
 	obs.ResetForTest()
-	defer obs.ResetForTest()
+	obs.SetEnabled(true)
+	obs.SetTraceEvery(1)
+	defer func() {
+		obs.SetTraceEvery(0)
+		obs.SetEnabled(false)
+		obs.ResetForTest()
+	}()
 	const d = 2
 	_, ts, _ := loggedServer(t, d, 200)
 
@@ -314,7 +321,7 @@ func TestDebugRequestsServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []obs.RequestTrace
+	var recs []obs.Request
 	if err := json.NewDecoder(dresp.Body).Decode(&recs); err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +331,49 @@ func TestDebugRequestsServed(t *testing.T) {
 		if r.RequestID == id {
 			found = true
 			if r.Collection != "default" || r.Endpoint != "knn" || r.Status != 200 ||
-				r.K != 4 || len(r.Shards) != 2 || r.LatencyNs <= 0 {
-				t.Fatalf("request trace %+v", r)
+				r.K != 4 || len(r.Shards) != 2 || r.LatencyNs <= 0 || r.Merge == nil {
+				t.Fatalf("request root %+v", r)
+			}
+			for _, sp := range r.Shards {
+				if sp.Trace == nil || sp.Trace.ID == 0 {
+					t.Errorf("shard %d span lacks its trace_id", sp.Shard)
+				}
 			}
 		}
 	}
 	if !found {
 		t.Fatalf("request %q not in /debug/requests (%d records)", id, len(recs))
+	}
+
+	cresp, err := http.Get(ts.URL + "/debug/requests?format=chrome")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(cresp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	pid := -1
+	for _, e := range doc.TraceEvents {
+		if e.Name == "knn" && e.Args["request_id"] == id {
+			pid = e.Pid
+		}
+	}
+	searchTids := map[int]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Pid == pid && e.Name == "search" {
+			searchTids[e.Tid] = true
+		}
+	}
+	if !searchTids[1] || !searchTids[2] || len(searchTids) != 2 {
+		t.Fatalf("request %q (pid %d): search spans on threads %v, want shard threads 1 and 2", id, pid, searchTids)
 	}
 }

@@ -13,10 +13,11 @@ import (
 
 // Explain is the request-scoped trace tree of one scatter-gather search
 // (ISSUE 8): one ShardSpan per shard — latency, engine queue wait,
-// candidates streamed, traversal work, coarse-prune hits, and the distK
-// pushdown bound observed vs. published — plus the final merge/filter span.
-// The serving layer wraps it in an obs.RequestTrace; semantics are spelled
-// out in DESIGN.md §14.
+// candidates streamed, traversal work, coarse-prune hits, the distK
+// pushdown bound observed vs. published, and the sampled execution trace —
+// plus the final merge/filter span. The serving layer records it under the
+// request's root span in obs.Requests; semantics are spelled out in
+// DESIGN.md §14.
 type Explain struct {
 	Shards []obs.ShardSpan `json:"shards"`
 	Merge  obs.MergeSpan   `json:"merge"`
@@ -30,23 +31,18 @@ type Explain struct {
 // Exact). Stats aggregates the per-shard traversal work plus the merge
 // layer's own DomChecks/Pruned; it is deterministic only when pushdown is
 // disabled (racing bound publications otherwise change how much work each
-// traversal happens to do, never the answer).
+// traversal happens to do, never the answer). Search is SearchExplain with
+// the trace tree dropped.
 func (x *Index) Search(sq geom.Sphere, k int) knn.Result {
-	return x.search(sq, k, nil)
+	res, _ := x.SearchExplain(sq, k)
+	return res
 }
 
-// SearchExplain is Search plus the per-request trace tree. The result is
-// bit-identical to Search over the same data (the trace records scalar
-// by-products the traversals produce anyway); the extra cost is two slice
+// SearchExplain is Search plus the per-request trace tree — scalar
+// by-products the traversals produce anyway, recorded with two slice
 // allocations per request and a few clock reads per shard, independent of
 // the process-wide obs gate.
 func (x *Index) SearchExplain(sq geom.Sphere, k int) (knn.Result, *Explain) {
-	ex := &Explain{}
-	res := x.search(sq, k, ex)
-	return res, ex
-}
-
-func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 	if k <= 0 {
 		panic(fmt.Sprintf("shard: k = %d", k))
 	}
@@ -65,26 +61,17 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 	// Scatter: one candidate search per shard, each through that shard's
 	// engine pool (so it runs on the pool's warm arenas). Results arrive
 	// in completion order so the gather loop can tighten the shared bound
-	// for shards still in flight. The explain path pre-sizes its span and
-	// telemetry slices here — the per-shard recording itself is plain
-	// scalar stores, zero allocations per shard.
+	// for shards still in flight. The span and telemetry slices are sized
+	// here — the per-shard recording itself is plain scalar stores, zero
+	// allocations per shard.
 	type arrival struct {
 		i  int
 		cs knn.CandidateSet
 	}
-	var tts []engine.TaskTelemetry
-	if ex != nil {
-		ex.Shards = make([]obs.ShardSpan, len(x.shards))
-		tts = make([]engine.TaskTelemetry, len(x.shards))
-	}
+	ex := &Explain{Shards: make([]obs.ShardSpan, len(x.shards))}
+	tts := make([]engine.TaskTelemetry, len(x.shards))
 	ch := make(chan arrival, len(x.shards))
 	for i := range x.shards {
-		if ex == nil {
-			go func(i int) {
-				ch <- arrival{i, x.shards[i].eng.SearchCandidates(sq, k, ext, nil)}
-			}(i)
-			continue
-		}
 		go func(i int) {
 			t0 := time.Now()
 			cs := x.shards[i].eng.SearchCandidates(sq, k, ext, &tts[i])
@@ -96,10 +83,12 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 				Candidates:     len(cs.Candidates),
 				NodesVisited:   cs.Stats.NodesVisited,
 				ItemsScanned:   cs.Stats.Items,
+				DomChecks:      cs.Stats.DomChecks,
+				Pruned:         cs.Stats.Pruned,
 				CoarsePrunes:   cs.CoarsePrunes,
 				BoundObserved:  obs.BoundValue(cs.BoundObserved),
 				BoundPublished: obs.BoundValue(cs.BoundPublished),
-				TraceID:        cs.TraceID,
+				Trace:          cs.Trace,
 			}
 			ch <- arrival{i, cs}
 		}(i)
@@ -134,43 +123,28 @@ func (x *Index) search(sq geom.Sphere, k int, ex *Explain) knn.Result {
 		}
 	}
 
-	var msw obs.Stopwatch
+	mt := time.Now()
+	res.Items = x.merge(sets, sq, k, &res.Stats, &ex.Merge)
+	ex.Merge.LatencyNs = time.Since(mt).Nanoseconds()
 	if on {
-		msw = obs.StartTimer()
-	}
-	var mt time.Time
-	if ex != nil {
-		mt = time.Now()
-	}
-	var ms *obs.MergeSpan
-	if ex != nil {
-		ms = &ex.Merge
-	}
-	res.Items = x.merge(sets, sq, k, &res.Stats, ms)
-	if ex != nil {
-		ex.Merge.LatencyNs = time.Since(mt).Nanoseconds()
-	}
-	if on {
-		msw.Stop(x.histMerge)
+		x.histMerge.Record(ex.Merge.LatencyNs)
 		sw.Stop(x.histSearch)
 	}
-	return res
+	return res, ex
 }
 
 // merge N sorted candidate streams into the final Definition 2 answer:
 // k-th smallest (MaxDist, ID) of the union is Sk, and every candidate Sk
 // does not provably dominate survives, in merged order. Fewer than k
-// candidates in total means the whole database qualified. ms, when
-// non-nil, receives the merge's explain scalars (candidates folded, final
-// filter prunes, results kept).
+// candidates in total means the whole database qualified. ms receives the
+// merge's explain scalars (candidates folded, final filter prunes, results
+// kept).
 func (x *Index) merge(sets []knn.CandidateSet, sq geom.Sphere, k int, stats *knn.Stats, ms *obs.MergeSpan) []geom.Item {
 	total := 0
 	for i := range sets {
 		total += len(sets[i].Candidates)
 	}
-	if ms != nil {
-		ms.Candidates = total
-	}
+	ms.Candidates = total
 	if total == 0 {
 		return nil
 	}
@@ -202,9 +176,7 @@ func (x *Index) merge(sets []knn.CandidateSet, sq geom.Sphere, k int, stats *knn
 		for i, c := range merged {
 			out[i] = c.Item
 		}
-		if ms != nil {
-			ms.Results = len(out)
-		}
+		ms.Results = len(out)
 		return out
 	}
 	sk := merged[k-1].Item
@@ -228,10 +200,7 @@ func (x *Index) merge(sets []knn.CandidateSet, sq geom.Sphere, k int, stats *knn
 		out = append(out, c.Item)
 	}
 	stats.Pruned += pruned
-	if ms != nil {
-		ms.Pruned = pruned
-		ms.Results = len(out)
-	}
+	ms.Pruned, ms.Results = pruned, len(out)
 	if obs.On() {
 		obsMergePruned.Add(uint64(pruned))
 		pp.FlushObs()
